@@ -204,8 +204,12 @@ def cmd_codec(args: argparse.Namespace) -> int:
         total = 0
         for param in cdc.enumerate_parameters(q, args.l, args.a, args.b, args.cap):
             x, y = cdc.construct_edge(param, q)
-            z0, triples = cdc.deconstruct(x, y, q)
-            if cdc.EdgeParameter.from_construction(z0, triples) != param:
+            try:
+                z0, triples = cdc.deconstruct(x, y, q)
+                ok = cdc.EdgeParameter.from_construction(z0, triples) == param
+            except cdc.NotDeconstructableError:
+                ok = False
+            if not ok:
                 print(
                     f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}"
                 )

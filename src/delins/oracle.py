@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import IO
 
 from delins import bounds as bnd
@@ -40,13 +41,14 @@ class ConflictGraph:
 
     Vertices are ranks of strings in [q]^n; masks[i] has bit j set iff the
     s-deletion sets of strings i and j intersect.  Irreflexive and symmetric
-    as stored.
+    as stored.  costs[i] is the size of the s-deletion set of string i.
     """
 
     q: int
     n: int
     s: int
     masks: tuple[int, ...]
+    costs: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -65,24 +67,33 @@ class ConflictGraph:
 
 def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> ConflictGraph:
     """Conflict graph via the s-deletion formulation, grouping inputs by
-    shared deletion results."""
+    shared deletion results.
+
+    Each deletion result contributes one group mask, the OR of its inputs'
+    bits, to the row of every input in the group; self bits are cleared at
+    the end.
+    """
     check_alphabet(q)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     size = q ** n
     if size > cap:
         raise CapExceededError("conflict graph vertex enumeration", size, cap)
-    masks = [0] * size
+    costs = [0] * size
     groups: dict[Qstr, list[int]] = {}
     for rank, x in enumerate(all_strings(q, n)):
-        for z in ch.deletion_set(x, s):
+        outputs = ch.deletion_set(x, s)
+        costs[rank] = len(outputs)
+        for z in outputs:
             groups.setdefault(z, []).append(rank)
+    masks = [0] * size
     for members in groups.values():
-        for i, gi in enumerate(members):
-            for gj in members[i + 1 :]:
-                masks[gi] |= 1 << gj
-                masks[gj] |= 1 << gi
-    return ConflictGraph(q, n, s, tuple(masks))
+        group = sum(1 << r for r in members)
+        for r in members:
+            masks[r] |= group
+    for r in range(size):
+        masks[r] &= ~(1 << r)
+    return ConflictGraph(q, n, s, tuple(masks), tuple(costs))
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,10 @@ class _CodeSearch:
     """Branch and bound maximum independent set on a conflict graph.
 
     Vertices are relabeled by ascending deletion-set size (then rank), so
-    cheap vertices branch first.  Two bounds prune each node: a greedy
+    cheap vertices branch first; the sizes are the graph's costs.  Each
+    vertex keeps one conflict row in that position order, its own bit
+    excluded, permuted from the graph's rank-order mask in C (one bit string
+    per row through an itemgetter).  Two bounds prune each node: a greedy
     clique cover of the candidates, and a budget argument specific to this
     graph family: chosen codewords consume pairwise disjoint deletion sets,
     so the remaining output-space capacity caps how many candidates can
@@ -141,27 +155,20 @@ class _CodeSearch:
 
     def __init__(self, graph: ConflictGraph):
         size = graph.size
-        full = (1 << size) - 1
-        costs_by_rank = [len(ch.deletion_set(graph.vertex_string(v), graph.s)) for v in range(size)]
+        costs_by_rank = graph.costs
         order = sorted(range(size), key=lambda v: (costs_by_rank[v], v))
-        position = [0] * size
-        for i, v in enumerate(order):
-            position[v] = i
         self.graph = graph
         self.order = order
         self.size = size
-        self.full = full
+        self.full = (1 << size) - 1
         self.cost = [costs_by_rank[v] for v in order]
-        compatible = [0] * size
-        for v in range(size):
-            mask = (full ^ graph.masks[v]) & ~(1 << v)
-            relabeled = 0
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                relabeled |= 1 << position[low.bit_length() - 1]
-            compatible[position[v]] = relabeled
-        self.compatible = compatible
+        # character k of a row's size-digit binary text is rank size-1-k;
+        # character k of the relabeled text must be position size-1-k
+        pick = itemgetter(*[size - 1 - order[size - 1 - k] for k in range(size)])
+        width = f"0{size}b"
+        self.conflicts = [
+            int("".join(pick(format(graph.masks[v], width))), 2) for v in order
+        ]
         self.capacity = graph.q ** (graph.n - graph.s)
         self.best_mask = self._greedy_seed()
         self.best_size = self.best_mask.bit_count()
@@ -176,7 +183,7 @@ class _CodeSearch:
             bit = 1 << v
             if not blocked & bit:
                 chosen |= bit
-                blocked |= bit | (self.full ^ self.compatible[v])
+                blocked |= bit | self.conflicts[v]
         return chosen
 
     def run(self, time_limit: float | None) -> tuple[int, bool]:
@@ -193,7 +200,7 @@ class _CodeSearch:
             if time.monotonic() > self.deadline:
                 self.timed_out = True
                 return
-        compatible = self.compatible
+        conflicts = self.conflicts
         cost = self.cost
         # greedy clique cover of the candidates; members kept in ascending
         # order so cheap vertices branch first within a class
@@ -208,8 +215,7 @@ class _CodeSearch:
                 v = low.bit_length() - 1
                 members.append(v)
                 uncolored ^= low
-                avail &= ~compatible[v]
-                avail ^= low
+                avail &= conflicts[v]
             classes.append(members)
             class_costs.append(cost[members[0]])
         # budget bound: one vertex per class, cheapest classes first
@@ -232,7 +238,7 @@ class _CodeSearch:
                 if not cand & bit:
                     continue
                 if cost[v] <= capacity:
-                    sub = cand & compatible[v]
+                    sub = (cand ^ bit) & ~conflicts[v]
                     if sub:
                         self._expand(r_mask | bit, r_size + 1, sub, capacity - cost[v])
                         if self.timed_out:
@@ -309,7 +315,11 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
         degree = len(ch.channel_output_set(x, a, b, q))
         if min_degree is None or degree < min_degree:
             min_degree = degree
-    assert min_degree is not None and min_degree >= 1
+    if min_degree is None:
+        raise RuntimeError(
+            f"packing bound at q={q} n={n} a={a} b={b}: the typicality split counts "
+            f"{split.typical} typical inputs but the scan found none"
+        )
     return q ** (n - a + b) // min_degree + atypical
 
 

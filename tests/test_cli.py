@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from delins import cli
-from delins.qstrings import parse_qary
 
 
 def run_cli(capsys, *args):
@@ -156,16 +155,19 @@ class TestSearch:
         assert "code_size=32" in out
 
     def test_certificate_file(self, capsys, tmp_path):
-        path = tmp_path / "out.code"
-        code, out, _ = run_cli(
-            capsys, "search", "--q", "2", "--n", "6", "--s", "1",
-            "--certificate", str(path),
-        )
-        assert code == 0
-        lines = path.read_text().splitlines()
-        assert lines[0] == "2 6 1 10 true"
-        words = {parse_qary(line, 2) for line in lines[1:]}
-        assert len(words) == 10
+        # certificates are bit-reproducible, so their whole text is pinned
+        expected = {
+            ("2", "6", "1"): "2 6 1 10 true\n000000\n000011\n001100\n001111\n010010\n"
+            "101101\n110000\n110011\n111100\n111111\n",
+            ("3", "4", "2"): "3 4 2 3 true\n0000\n1111\n2222\n",
+        }
+        for (q, n, s), text in expected.items():
+            path = tmp_path / f"{q}-{n}-{s}.code"
+            code, _, _ = run_cli(
+                capsys, "search", "--q", q, "--n", n, "--s", s, "--certificate", str(path),
+            )
+            assert code == 0
+            assert path.read_text() == text
 
     def test_timeout_exit_four(self, capsys):
         code, out, _ = run_cli(
@@ -200,6 +202,18 @@ class TestCodec:
         )
         assert code == 0
         assert "parameters round-trip" in out
+
+    def test_roundtrip_decode_failure_exits_one(self, capsys, monkeypatch):
+        def refuse(x, y, q, on_step=None):
+            raise cli.cdc.NotDeconstructableError("forced")
+
+        monkeypatch.setattr(cli.cdc, "deconstruct", refuse)
+        code, out, err = run_cli(
+            capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
+        )
+        assert code == 1
+        assert out.startswith("round-trip FAILED for x=")
+        assert "usage error" not in err
 
     def test_construct_from_file(self, capsys, tmp_path):
         path = tmp_path / "params.txt"

@@ -43,6 +43,36 @@ class TestConflictGraph:
         with pytest.raises(CapExceededError):
             orc.build_conflict_graph(2, 20, 1, cap=1 << 10)
 
+    def test_masks_and_costs_match_pairwise_deletion_sets(self):
+        # independent of the group-mask build: direct pairwise isdisjoint
+        for q, max_n in ((2, 6), (3, 4), (4, 3)):
+            for n in range(1, max_n + 1):
+                strings = list(qs.all_strings(q, n))
+                for s in range(n + 1):
+                    graph = orc.build_conflict_graph(q, n, s)
+                    del_sets = [ch.deletion_set(x, s) for x in strings]
+                    expected = [
+                        sum(
+                            1 << j
+                            for j, other in enumerate(del_sets)
+                            if j != i and not mine.isdisjoint(other)
+                        )
+                        for i, mine in enumerate(del_sets)
+                    ]
+                    assert list(graph.masks) == expected, (q, n, s)
+                    assert list(graph.costs) == [len(d) for d in del_sets], (q, n, s)
+
+    def test_search_rows_are_conflicts_in_position_order(self):
+        for q, n, s in [(2, 5, 1), (2, 6, 2), (3, 3, 1), (3, 4, 2), (4, 3, 1)]:
+            graph = orc.build_conflict_graph(q, n, s)
+            search = orc._CodeSearch(graph)
+            order = search.order
+            for i, row in enumerate(search.conflicts):
+                assert not row >> i & 1
+                for j in range(graph.size):
+                    if j != i:
+                        assert bool(row >> j & 1) == graph.conflicts(order[i], order[j])
+
 
 class TestMaxCodeExact:
     def test_four_word_anchor(self):
@@ -123,6 +153,14 @@ class TestPackingBound:
     def test_degenerate_split_falls_back_to_space_size(self):
         # tiny lengths make every string atypical
         assert orc.packing_code_bound(2, 4, 1, 0) <= 2 ** 4 + 2 ** 4
+
+    def test_no_typical_input_found_is_an_error(self, monkeypatch):
+        # the split counts typical inputs, but the scan is made to see none
+        monkeypatch.setattr(
+            orc, "string_stats", lambda x: qs.StringStats(runs=len(x), longest_alternating=10 ** 6)
+        )
+        with pytest.raises(RuntimeError, match="q=2 n=6 a=1 b=0"):
+            orc.packing_code_bound(2, 6, 1, 0)
 
 
 class TestFormulaValueTracking:
