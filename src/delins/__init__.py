@@ -30,9 +30,11 @@ from delins.channels import (
     check_channel_equivalence,
     check_parallelogram,
     deletion_set,
+    insertion_ranks,
     insertion_set,
     is_subsequence,
     lcs_length,
+    output_ranks,
 )
 from delins.codec import (
     LEFT,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from delins.channels import DEFAULT_CAP, channel_output_set
 from delins.errors import CapExceededError
@@ -131,7 +131,7 @@ class TypicalitySplit:
     b: int
     c_threshold: float  # alternating-interval length cutoff, (s+2) log_q n
     eps: float  # run-count concentration radius, sqrt((s+1) ln n / (2(n-1)))
-    alt_cutoff: int  # integer cutoff actually used: ceil(c_threshold)
+    alt_cutoff: int  # cutoff actually used: least c with q**c >= n**(s+2)
     run_cutoff: int  # integer cutoff actually used: floor of the run threshold
     typical: int | None = None
     long_alternating: int | None = None
@@ -141,9 +141,10 @@ class TypicalitySplit:
 def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> TypicalitySplit:
     """Compute the typicality thresholds and, under the cap, exact class sizes.
 
-    The run-count radius uses the natural log; the alternating cutoff uses
-    the base-q log.  Integer cutoffs are rounded with a small guard so that
-    float noise cannot flip a boundary case.
+    The alternating cutoff is ceil(c_threshold) in exact integers: the least
+    c >= 0 with q**c >= n**(s+2).  The run-count radius uses the natural log;
+    its cutoff is rounded with a small guard so that float noise cannot flip
+    a boundary case.
     """
     check_alphabet(q)
     if n < 2:
@@ -151,7 +152,10 @@ def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> 
     s = a + b
     c_threshold = (s + 2) * math.log(n, q)
     eps = math.sqrt((s + 1) * math.log(n) / (2 * (n - 1)))
-    alt_cutoff = math.ceil(c_threshold - FLOAT_GUARD)
+    alt_cutoff, power, target = 0, 1, n ** (s + 2)
+    while power < target:
+        alt_cutoff += 1
+        power *= q
     run_threshold = ((q - 1) / q - eps) * (n - 1) + 1
     run_cutoff = math.floor(run_threshold + FLOAT_GUARD)
     base = TypicalitySplit(q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff)
@@ -265,11 +269,6 @@ def report_csv_lines(rows: Iterable[BoundReport]) -> Iterator[str]:
                 fraction_str(r.improvement),
             )
         )
-
-
-def write_report_csv(rows: Iterable[BoundReport], fp: IO[str]) -> None:
-    for line in report_csv_lines(rows):
-        fp.write(line + "\n")
 
 
 def _fraction_json(value: Fraction) -> dict[str, str]:

@@ -5,13 +5,19 @@ obtained by first deleting a symbols and then inserting b symbols.  The
 bipartite graph over inputs of length l+a and outputs of length l+b joins
 two strings whenever they share a common subsequence of length l; the
 neighborhood of an input is exactly its channel output set.
+
+Output sets come in two forms.  insertion_set and channel_output_set build
+sets of tuples and are the reference route; insertion_ranks and
+output_ranks enumerate base-q ranks without duplicates, and the graph, the
+packing bound and the equivalence check use them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, product
 from typing import IO, Iterator
 
 from delins.errors import CapExceededError
@@ -125,6 +131,80 @@ def insertion_set(x: Qstr, s: int, q: int) -> set[Qstr]:
     return out
 
 
+@lru_cache(maxsize=64)
+def _avoiding_words(q: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """For each symbol c, the ranks of every length-k word with no symbol c."""
+    return tuple(
+        tuple(rank_of(w, q) for w in product([d for d in range(q) if d != c], repeat=k))
+        for c in range(q)
+    )
+
+
+def insertion_ranks(x: Qstr, s: int, q: int) -> list[int]:
+    """Base-q ranks of insertion_set(x, s, q), each exactly once, unordered.
+
+    A supersequence y of x is fixed by its leftmost embedding of x: the word
+    inserted before x[g] avoids the symbol x[g], and the symbols after the
+    last one of x are free.  A partial output is kept as the rank of
+    p + x[g:], p being what is built so far and g the first gap still open,
+    so passing a gap costs nothing and inserting a word w before x[g] is one
+    multiply-add.  States are grouped by insertions left; those with none
+    left are outputs, the others end in a free tail.  The tuple sets of
+    insertion_set stay the independent reference route.
+    """
+    check_alphabet(q)
+    if s < 0:
+        raise ValueError(f"cannot insert {s} symbols")
+    if s == 0:
+        return [rank_of(x, q)]
+    m = len(x)
+    suffix = [0] * (m + 1)  # suffix[g] is the rank of x[g:]
+    weight = [1] * (m + 1)  # weight[g] is q ** (m - g)
+    for g in range(m - 1, -1, -1):
+        weight[g] = weight[g + 1] * q
+        suffix[g] = x[g] * weight[g + 1] + suffix[g + 1]
+    # inserting a word w of length k before x[g] maps the rank r of p + x[g:]
+    # to r * q**k + offset; moves[k] lists (offset, g + 1) gap by gap, with
+    # (q-1)**k words per gap
+    moves: list[list[tuple[int, int]]] = [[]]
+    for k in range(1, s + 1):
+        words = _avoiding_words(q, k)
+        shift = 1 - q ** k
+        moves.append(
+            [(w * weight[g] + suffix[g] * shift, g + 1) for g in range(m) for w in words[x[g]]]
+        )
+    out: list[int] = []
+    # states[left]: (rank of p + x[g:], first open gap g), left insertions to go
+    states: list[list[tuple[int, int]]] = [[] for _ in range(s + 1)]
+    states[s].append((suffix[0], 0))
+    for left in range(s, 0, -1):
+        current = states[left]
+        span = q ** left
+        out += [r * span + t for r, _ in current for t in range(span)]
+        for k in range(1, left + 1):
+            scale = q ** k
+            width = (q - 1) ** k
+            if k == left:
+                out += [r * scale + o for r, g in current for o, _ in moves[k][g * width:]]
+            else:
+                states[left - k] += [
+                    (r * scale + o, h) for r, g in current for o, h in moves[k][g * width:]
+                ]
+    return out
+
+
+def output_ranks(x: Qstr, a: int, b: int, q: int) -> set[int]:
+    """Base-q ranks of channel_output_set(x, a, b, q): the union of
+    insertion_ranks over the a-deletion results of x."""
+    x = tuple(x)
+    if not 0 <= a <= len(x):
+        raise ValueError(f"cannot delete {a} symbols from a string of length {len(x)}")
+    out: set[int] = set()
+    for z in deletion_set(x, a):
+        out.update(insertion_ranks(z, b, q))
+    return out
+
+
 def channel_output_set(x: Qstr, a: int, b: int, q: int) -> set[Qstr]:
     """All outputs of the a-deletion b-insertion channel on input x."""
     x = tuple(x)
@@ -196,9 +276,17 @@ class ChannelGraph:
         return min(degrees), Fraction(sum(degrees), len(degrees)), max(degrees)
 
     def write_edge_list(self, fp: IO[str]) -> None:
-        fp.write(f"{self.q} {self.l} {self.a} {self.b}\n")
-        for x, y in self.edges():
-            fp.write(f"{format_qary(x, self.q)} {format_qary(y, self.q)}\n")
+        """A `q l a b` header, then one `x y` line per edge in edges() order.
+
+        Each right vertex is formatted once; each left vertex's lines are
+        written as one block.
+        """
+        q = self.q
+        fp.write(f"{q} {self.l} {self.a} {self.b}\n")
+        right_text = [format_qary(self.right_string(r), q) for r in range(self.right_size)]
+        for left_rank, neigh in enumerate(self.adjacency):
+            head = format_qary(self.left_string(left_rank), q)
+            fp.write("".join([f"{head} {right_text[r]}\n" for r in neigh]))
 
 
 def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> ChannelGraph:
@@ -217,9 +305,9 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
         raise CapExceededError("channel graph vertex enumeration", left_size + right_size, cap)
     neighbor_sets: list[set[int]] = [set() for _ in range(left_size)]
     for z in all_strings(q, l):
-        right_ranks = [rank_of(y, q) for y in insertion_set(z, b, q)]
-        for x in insertion_set(z, a, q):
-            neighbor_sets[rank_of(x, q)].update(right_ranks)
+        right_ranks = insertion_ranks(z, b, q)
+        for x_rank in insertion_ranks(z, a, q):
+            neighbor_sets[x_rank].update(right_ranks)
     return ChannelGraph(q, l, a, b, tuple(tuple(sorted(s)) for s in neighbor_sets))
 
 
@@ -290,7 +378,7 @@ def _output_rank_sets(q: int, n: int, a: int, b: int) -> list[frozenset[int]]:
         for z in deletion_set(x, a):
             ranks = cache.get(z)
             if ranks is None:
-                ranks = frozenset(rank_of(w, q) for w in insertion_set(z, b, q))
+                ranks = frozenset(insertion_ranks(z, b, q))
                 cache[z] = ranks
             acc |= ranks
         out.append(frozenset(acc))

@@ -20,7 +20,7 @@ from delins import channels as ch
 from delins import codec as cdc
 from delins import oracle as orc
 from delins.channels import DEFAULT_CAP
-from delins.errors import CapExceededError
+from delins.errors import CapExceededError, VerificationError
 from delins.qstrings import format_qary, parse_qary
 
 EXIT_OK = 0
@@ -285,6 +285,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except VerificationError as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

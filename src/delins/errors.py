@@ -17,3 +17,11 @@ class CapExceededError(RuntimeError):
         self.what = what
         self.required = required
         self.cap = cap
+
+
+class VerificationError(ValueError):
+    """An independent re-check of a computed result failed.
+
+    The input was valid; the result is wrong.  The command line reports it
+    as a failed check (exit 1), not as a usage error.
+    """

@@ -19,7 +19,7 @@ from delins import bounds as bnd
 from delins import channels as ch
 from delins import codec as cdc
 from delins.channels import DEFAULT_CAP
-from delins.errors import CapExceededError
+from delins.errors import CapExceededError, VerificationError
 from delins.qstrings import (
     Qstr,
     all_strings,
@@ -135,7 +135,7 @@ def pairwise_disjoint_deletions(words: tuple[Qstr, ...], s: int) -> bool:
 def verify_certificate(cert: CodeCertificate) -> CodeCertificate:
     ok = pairwise_disjoint_deletions(cert.codewords, cert.s)
     if not ok:
-        raise ValueError("certificate contains a conflicting pair")
+        raise VerificationError("certificate contains a conflicting pair")
     return replace(cert, verified=True)
 
 
@@ -312,7 +312,7 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
         stats = string_stats(x)
         if stats.longest_alternating >= split.alt_cutoff or stats.runs <= split.run_cutoff:
             continue
-        degree = len(ch.channel_output_set(x, a, b, q))
+        degree = len(ch.output_ranks(x, a, b, q))
         if min_degree is None or degree < min_degree:
             min_degree = degree
     if min_degree is None:
@@ -487,7 +487,7 @@ def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> LemmaCheck:
             for a, b in _splits(min(caps.max_s, n)):
                 instances += 1
                 lower = bnd.degree_lower_bound(q, n, stats.runs, stats.longest_alternating, a, b)
-                actual = len(ch.channel_output_set(x, a, b, q))
+                actual = len(ch.output_ranks(x, a, b, q))
                 if lower > actual:
                     detail = (
                         f"q={q} n={n} a={a} b={b} x={format_qary(x, q)} "

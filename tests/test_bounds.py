@@ -184,6 +184,16 @@ class TestTypicalitySplit:
             limit = bnd.few_runs_bound(q, n, split.eps)
             assert split.few_runs <= limit + 1e-12 * max(1.0, limit)
 
+    def test_alternating_cutoff_is_exact_and_agrees_with_float_formula(self):
+        # least c with q**c >= n**(s+2), against ceil((s+2) log_q n) in floats
+        for q in range(2, 17):
+            for n in range(2, 400):
+                for s in range(12):
+                    c = bnd.typicality_split(q, n, s, 0, cap=0).alt_cutoff
+                    target = n ** (s + 2)
+                    assert q ** c >= target and (c == 0 or q ** (c - 1) < target)
+                    assert c == math.ceil((s + 2) * math.log(n, q) - bnd.FLOAT_GUARD), (q, n, s)
+
     def test_sizes_omitted_above_cap(self):
         split = bnd.typicality_split(2, 10, 1, 0, cap=100)
         assert split.typical is None

@@ -96,6 +96,48 @@ class TestInsertionSet:
             assert ch.is_subsequence(x, w)
 
 
+class TestInsertionRanks:
+    def test_examples(self):
+        assert sorted(ch.insertion_ranks((0,), 1, 2)) == [0, 1, 2]  # 00, 01, 10
+        assert ch.insertion_ranks((0, 1), 0, 2) == [1]
+        assert sorted(ch.insertion_ranks((), 2, 3)) == list(range(9))
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            ch.insertion_ranks((0,), -1, 2)
+        with pytest.raises(ValueError):
+            ch.insertion_ranks((0,), 1, 1)
+
+    def test_duplicate_free_and_equal_to_brute_force_supersequences(self):
+        # independent route: scan every string of the output length for x as a
+        # subsequence; no code is shared with either insertion enumerator
+        for q, max_n in ((2, 4), (3, 3), (4, 2)):
+            for n in range(max_n + 1):
+                for s in range(4):
+                    candidates = list(qs.all_strings(q, n + s))
+                    for x in qs.all_strings(q, n):
+                        ranks = ch.insertion_ranks(x, s, q)
+                        assert len(ranks) == len(set(ranks)), (q, x, s)
+                        brute = {qs.rank_of(w, q) for w in candidates if ch.is_subsequence(x, w)}
+                        assert set(ranks) == brute, (q, x, s)
+                        assert len(ranks) == qs.insertion_count(q, s, n + s)
+
+    def test_output_ranks_match_channel_output_set(self):
+        for q, max_n in ((2, 5), (3, 4)):
+            for n in range(max_n + 1):
+                for s in range(3):
+                    for a in range(min(s, n) + 1):
+                        for x in qs.all_strings(q, n):
+                            expected = {
+                                qs.rank_of(y, q) for y in ch.channel_output_set(x, a, s - a, q)
+                            }
+                            assert ch.output_ranks(x, a, s - a, q) == expected, (q, x, a)
+
+    def test_output_ranks_rejects_overlong_deletion(self):
+        with pytest.raises(ValueError):
+            ch.output_ranks((0,), 2, 0, 2)
+
+
 class TestChannelOutputSet:
     def test_identity_channel(self):
         assert ch.channel_output_set((0, 1, 1), 0, 0, 2) == {(0, 1, 1)}

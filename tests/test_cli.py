@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -137,6 +138,34 @@ class TestGraph:
         assert lines[0] == "2 1 1 0"
         assert len(lines) == 7
 
+    def test_export_is_bit_identical(self, capsys, tmp_path):
+        # edge lists are bit-reproducible: one full text and two digests pinned
+        path = tmp_path / "edges.txt"
+        code, _, _ = run_cli(
+            capsys, "graph", "--q", "2", "--l", "2", "--a", "1", "--b", "1",
+            "--export", str(path),
+        )
+        assert code == 0
+        assert path.read_text() == (
+            "2 2 1 1\n000 000\n000 001\n000 010\n000 100\n001 000\n001 001\n"
+            "001 010\n001 011\n001 100\n001 101\n010 000\n010 001\n010 010\n"
+            "010 011\n010 100\n010 101\n010 110\n011 001\n011 010\n011 011\n"
+            "011 101\n011 110\n011 111\n100 000\n100 001\n100 010\n100 100\n"
+            "100 101\n100 110\n101 001\n101 010\n101 011\n101 100\n101 101\n"
+            "101 110\n101 111\n110 010\n110 011\n110 100\n110 101\n110 110\n"
+            "110 111\n111 011\n111 101\n111 110\n111 111\n"
+        )
+        digests = {
+            ("3", "4", "1", "1"): "7bcfdcb2a2a347f3923d0c2e840c4981f20caac058fba957622e50107bfec324",
+            ("2", "6", "0", "2"): "499b48e280eeeb2f541bbd9d6a73880c91fd5a93ae0204603f8f52048a2cd518",
+        }
+        for (q, l, a, b), digest in digests.items():
+            code, _, _ = run_cli(
+                capsys, "graph", "--q", q, "--l", l, "--a", a, "--b", b, "--export", str(path),
+            )
+            assert code == 0
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_cap_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "graph", "--q", "2", "--l", "30", "--a", "1", "--b", "1")
         assert code == 3
@@ -168,6 +197,13 @@ class TestSearch:
             )
             assert code == 0
             assert path.read_text() == text
+
+    def test_failed_certificate_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.orc, "pairwise_disjoint_deletions", lambda words, s: False)
+        code, _, err = run_cli(capsys, "search", "--q", "2", "--n", "4", "--s", "1")
+        assert code == 1
+        assert err.startswith("check failed: certificate contains a conflicting pair")
+        assert "usage error" not in err
 
     def test_timeout_exit_four(self, capsys):
         code, out, _ = run_cli(
