@@ -294,7 +294,10 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
 
     Every length-l string z contributes the complete bipartite block between
     its a-insertion superstrings (left) and b-insertion superstrings (right);
-    the union over z is exactly the adjacency relation.
+    the union over z is exactly the adjacency relation.  The first pass keeps
+    each z's right ranks and, per left vertex, the indices of the z it
+    contains; the second builds one neighbour set at a time, so only the
+    sorted tuples stay alive.
     """
     check_alphabet(q)
     if l < 0 or a < 0 or b < 0:
@@ -303,12 +306,72 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
     right_size = q ** (l + b)
     if left_size + right_size > cap:
         raise CapExceededError("channel graph vertex enumeration", left_size + right_size, cap)
-    neighbor_sets: list[set[int]] = [set() for _ in range(left_size)]
-    for z in all_strings(q, l):
-        right_ranks = insertion_ranks(z, b, q)
+    right_ranks: list[list[int]] = []
+    contained: list[list[int]] = [[] for _ in range(left_size)]
+    for index, z in enumerate(all_strings(q, l)):
+        right_ranks.append(insertion_ranks(z, b, q))
         for x_rank in insertion_ranks(z, a, q):
-            neighbor_sets[x_rank].update(right_ranks)
-    return ChannelGraph(q, l, a, b, tuple(tuple(sorted(s)) for s in neighbor_sets))
+            contained[x_rank].append(index)
+    adjacency = tuple(
+        tuple(sorted(set().union(*[right_ranks[i] for i in indices]))) for indices in contained
+    )
+    return ChannelGraph(q, l, a, b, adjacency)
+
+
+def _duality_sweep(q: int, m: int, n: int) -> Iterator[tuple[Qstr, int, int, int]]:
+    """Yield (x, rank of y, lcs_length(x, y), scs_length(x, y)) for every pair
+    of [q]^m x [q]^n, x and y each in all_strings order.
+
+    For each x, [q]^n is walked depth first as an odometer.  Each node extends
+    the LCS column and the SCS column of its parent prefix by one symbol c of
+    y, each by its own recurrence, so strings y sharing a prefix share its
+    columns: about q/(q-1) column steps per pair instead of n.
+    """
+    top_lcs = [0] * (m + 1)
+    top_scs = list(range(m + 1))
+    for x in all_strings(q, m):
+        # lcs_cols[d], scs_cols[d]: the columns of the prefix y[:d]
+        lcs_cols = [top_lcs] * (n + 1)
+        scs_cols = [top_scs] * (n + 1)
+        y = [0] * n
+        depth = 0  # columns are current up to y[:depth]
+        rank = 0
+        while True:
+            while depth < n:
+                c = y[depth]
+                lcs_up, scs_up = lcs_cols[depth], scs_cols[depth]
+                depth += 1
+                lcs = 0
+                scs = depth
+                lcs_col = [lcs]
+                scs_col = [scs]
+                for i, xi in enumerate(x):
+                    if xi == c:
+                        lcs = lcs_up[i] + 1
+                        scs = scs_up[i] + 1
+                    else:
+                        v = lcs_up[i + 1]
+                        if v > lcs:
+                            lcs = v
+                        v = scs_up[i + 1]
+                        if v < scs:
+                            scs = v
+                        scs += 1
+                    lcs_col.append(lcs)
+                    scs_col.append(scs)
+                lcs_cols[depth] = lcs_col
+                scs_cols[depth] = scs_col
+            yield x, rank, lcs_cols[n][m], scs_cols[n][m]
+            rank += 1
+            # advance the odometer; the columns above the changed digit stay
+            k = n - 1
+            while k >= 0 and y[k] == q - 1:
+                y[k] = 0
+                k -= 1
+            if k < 0:
+                break
+            y[k] += 1
+            depth = k
 
 
 def parallelogram_counterexample(
@@ -318,7 +381,8 @@ def parallelogram_counterexample(
     duality at length l: a common subsequence of length l exists iff a common
     supersequence of length m + n - l exists.
 
-    Returns a violating pair, or None after exhausting all pairs.
+    Returns the first violating pair in all_strings order, or None after
+    exhausting all pairs.
     """
     check_alphabet(q)
     if not (l < m and l < n):
@@ -327,12 +391,9 @@ def parallelogram_counterexample(
     if pairs > cap:
         raise CapExceededError("parallelogram pair enumeration", pairs, cap)
     target = m + n - l
-    for x in all_strings(q, m):
-        for y in all_strings(q, n):
-            has_sub = lcs_at_least(x, y, l)
-            has_super = scs_length(x, y) <= target
-            if has_sub != has_super:
-                return x, y
+    for x, y_rank, lcs, scs in _duality_sweep(q, m, n):
+        if (lcs >= l) != (scs <= target):
+            return x, string_of(y_rank, q, n)
     return None
 
 
@@ -343,10 +404,11 @@ def check_parallelogram(q: int, l: int, m: int, n: int, cap: int = DEFAULT_CAP) 
 def parallelogram_range_counterexample(
     q: int, m: int, n: int, cap: int = DEFAULT_CAP
 ) -> tuple[int, Qstr, Qstr] | None:
-    """Check the duality for every l in [1, min(m, n)) with one sweep of the
-    pair space, computing both tables once per pair.
+    """Check the duality for every l in [1, min(m, n)) on one sweep of the
+    pair space, which gives both table values of each pair once.
 
-    Returns (l, x, y) for a violation, or None.
+    Returns the first violation (l, x, y), pairs in all_strings order and l
+    ascending within a pair, or None.
     """
     check_alphabet(q)
     if min(m, n) < 2:
@@ -355,13 +417,11 @@ def parallelogram_range_counterexample(
     if pairs > cap:
         raise CapExceededError("parallelogram pair enumeration", pairs, cap)
     total = m + n
-    for x in all_strings(q, m):
-        for y in all_strings(q, n):
-            lcs = lcs_length(x, y)
-            scs = scs_length(x, y)
-            for l in range(1, min(m, n)):
-                if (lcs >= l) != (scs <= total - l):
-                    return l, x, y
+    levels = range(1, min(m, n))
+    for x, y_rank, lcs, scs in _duality_sweep(q, m, n):
+        for l in levels:
+            if (lcs >= l) != (scs <= total - l):
+                return l, x, string_of(y_rank, q, n)
     return None
 
 

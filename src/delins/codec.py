@@ -134,7 +134,8 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
 
     Matches after dropping the head of x and after dropping the head of y;
     the longer match identifies the inserted symbol's side and the interval.
-    Equal match lengths raise AmbiguousDeletionError.
+    Equal match lengths raise AmbiguousDeletionError.  Both match lengths are
+    counted in place and only the winning side is sliced.
     """
     check_alphabet(q)
     if not x or not y:
@@ -142,15 +143,22 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
     if x[0] == y[0]:
         raise ValueError("delete step needs strings with different first symbols")
     gap = (x[0] - y[0]) % q
-    left_prefix, lx, ly = match(x[1:], y)
-    right_prefix, rx, ry = match(x, y[1:])
-    if len(left_prefix) == len(right_prefix):
-        raise AmbiguousDeletionError(
-            f"matches of equal length {len(left_prefix)} deleting either head"
-        )
-    if len(left_prefix) > len(right_prefix):
-        return InsertTriple(LEFT, gap, left_prefix), lx, ly
-    return InsertTriple(RIGHT, (-gap) % q, right_prefix), rx, ry
+    nx, ny = len(x), len(y)
+    end = ny if ny < nx else nx - 1  # min(nx - 1, ny), without a call
+    left = 0  # common prefix length of x[1:] and y
+    while left < end and x[left + 1] == y[left]:
+        left += 1
+    end = nx if nx < ny else ny - 1
+    right = 0  # common prefix length of x and y[1:]
+    while right < end and x[right] == y[right + 1]:
+        right += 1
+    if left == right:
+        raise AmbiguousDeletionError(f"matches of equal length {left} deleting either head")
+    if left > right:
+        return InsertTriple(LEFT, gap, tuple(x[1:left + 1])), tuple(x[left + 1:]), tuple(y[left:])
+    return (
+        InsertTriple(RIGHT, (-gap) % q, tuple(x[:right])), tuple(x[right:]), tuple(y[right + 1:])
+    )
 
 
 def deconstruct(

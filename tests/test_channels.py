@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -232,6 +233,21 @@ class TestChannelGraph:
         assert "00 0" in lines
 
 
+class TestChannelGraphMemory:
+    @pytest.mark.parametrize("q,l,a,b", [(3, 6, 1, 1), (2, 10, 1, 1)])
+    def test_build_peaks_near_what_it_keeps(self, q, l, a, b):
+        # one neighbour set at a time: the peak stays close to the tuples kept
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            graph = ch.build_channel_graph(q, l, a, b)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.edge_count > 0
+        assert peak - base < 2 * (kept - base), (kept - base, peak - base)
+
+
 class TestParallelogram:
     @pytest.mark.parametrize("q,l,m,n", [(2, 2, 3, 3), (2, 1, 2, 2), (3, 1, 2, 3)])
     def test_holds_on_anchor_instances(self, q, l, m, n):
@@ -255,6 +271,52 @@ class TestParallelogram:
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             ch.check_parallelogram(2, 2, 20, 20, cap=1 << 10)
+
+
+def _skewed_scs(x, y, lcs, scs):
+    """A deliberately wrong SCS: two short on pairs with LCS 1 whose first and
+    last symbols differ, which breaks the duality at l = 2 and l = 3."""
+    return scs - 2 if lcs == 1 and x[0] != y[-1] else scs
+
+
+class TestDualitySweep:
+    @pytest.mark.parametrize("q,max_len", [(2, 5), (3, 4)])
+    def test_values_equal_the_tables(self, q, max_len):
+        for m in range(max_len + 1):
+            for n in range(max_len + 1):
+                want = [
+                    (x, y_rank, ch.lcs_length(x, y), ch.scs_length(x, y))
+                    for x in qs.all_strings(q, m)
+                    for y_rank, y in enumerate(qs.all_strings(q, n))
+                ]
+                assert list(ch._duality_sweep(q, m, n)) == want, (m, n)
+
+    @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 4, 6), (3, 4, 4)])
+    def test_first_violation_matches_brute_force(self, monkeypatch, q, m, n):
+        sweep = ch._duality_sweep
+
+        def skewed(q, m, n):
+            for x, y_rank, lcs, scs in sweep(q, m, n):
+                y = qs.string_of(y_rank, q, n)
+                yield x, y_rank, lcs, _skewed_scs(x, y, lcs, scs)
+
+        monkeypatch.setattr(ch, "_duality_sweep", skewed)
+        brute = None
+        for x in qs.all_strings(q, m):
+            for y in qs.all_strings(q, n):
+                lcs = ch.lcs_length(x, y)
+                scs = _skewed_scs(x, y, lcs, ch.scs_length(x, y))
+                bad = [l for l in range(1, min(m, n)) if (lcs >= l) != (scs <= m + n - l)]
+                if bad:
+                    brute = bad[0], x, y
+                    break
+            if brute is not None:
+                break
+        assert brute is not None and brute[0] == 2
+        assert ch.parallelogram_range_counterexample(q, m, n) == brute
+        for l in (2, 3):
+            assert ch.parallelogram_counterexample(q, l, m, n) == brute[1:]
+        assert ch.parallelogram_counterexample(q, 1, m, n) is None
 
 
 class TestChannelEquivalence:

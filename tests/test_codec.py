@@ -136,6 +136,61 @@ class TestDeleteStep:
                             assert cdc.delete_step(x + u, y + v, q) == (triple, u, v)
 
 
+def _slicing_delete_step(x, y, q):
+    """delete_step by slicing both candidate matches through match: the
+    reference that the prefix-counting delete_step must agree with."""
+    qs.check_alphabet(q)
+    if not x or not y:
+        raise ValueError("delete step needs two nonempty strings")
+    if x[0] == y[0]:
+        raise ValueError("delete step needs strings with different first symbols")
+    gap = (x[0] - y[0]) % q
+    left_prefix, lx, ly = cdc.match(x[1:], y)
+    right_prefix, rx, ry = cdc.match(x, y[1:])
+    if len(left_prefix) == len(right_prefix):
+        raise cdc.AmbiguousDeletionError(
+            f"matches of equal length {len(left_prefix)} deleting either head"
+        )
+    if len(left_prefix) > len(right_prefix):
+        return InsertTriple(LEFT, gap, left_prefix), lx, ly
+    return InsertTriple(RIGHT, (-gap) % q, right_prefix), rx, ry
+
+
+def _outcome(step, x, y, q):
+    """The result with the type of each part, or the exception class and message."""
+    try:
+        triple, rest_x, rest_y = step(x, y, q)
+    except ValueError as err:
+        return type(err), str(err)
+    parts = (triple.interval, rest_x, rest_y)
+    return tuple(triple), rest_x, rest_y, tuple(type(p) for p in parts)
+
+
+class TestDeleteStepMatchesSlicingReference:
+    @pytest.mark.parametrize("q,max_len", [(2, 6), (3, 4)])
+    def test_every_pair_of_short_strings(self, q, max_len):
+        strings = [s for n in range(max_len + 1) for s in qs.all_strings(q, n)]
+        raised = set()
+        for x in strings:
+            for y in strings:
+                want = _outcome(_slicing_delete_step, x, y, q)
+                assert _outcome(cdc.delete_step, x, y, q) == want, (x, y)
+                if isinstance(want[0], type):
+                    raised.add(want[0])
+        # every failure route was exercised
+        assert raised == {ValueError, cdc.AmbiguousDeletionError}
+
+    def test_list_input_returns_tuples(self):
+        for x in qs.all_strings(2, 4):
+            for y in qs.all_strings(2, 3):
+                want = _outcome(_slicing_delete_step, x, y, 2)
+                assert _outcome(cdc.delete_step, list(x), list(y), 2) == want, (x, y)
+
+    def test_alphabet_is_checked_first(self):
+        with pytest.raises(ValueError, match="alphabet size"):
+            cdc.delete_step((), (), 1)
+
+
 class TestDeconstruct:
     def test_diagonal(self):
         assert cdc.deconstruct((0, 1, 1), (0, 1, 1), 2) == ((0, 1, 1), ())
