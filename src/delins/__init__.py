@@ -28,7 +28,6 @@ from delins.channels import (
     build_channel_graph,
     channel_output_set,
     check_channel_equivalence,
-    check_parallelogram,
     deletion_set,
     insertion_ranks,
     insertion_set,
@@ -44,7 +43,6 @@ from delins.codec import (
     InsertTriple,
     NotDeconstructableError,
     construct,
-    constructable_edge_count,
     deconstruct,
     delete_step,
     enumerate_parameters,

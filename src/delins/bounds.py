@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from delins.channels import DEFAULT_CAP, channel_output_set
+from delins.channels import DEFAULT_CAP, output_count_bound, output_ranks
+
+# Not used here: it stays importable as delins.bounds.channel_output_set, the
+# name-bound import that perfbench's tracer test checks is traced.
+from delins.channels import channel_output_set  # noqa: F401
 from delins.errors import CapExceededError
 from delins.qstrings import (
     all_strings,
@@ -186,11 +190,10 @@ def average_degree(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Av
     check_alphabet(q)
     if not 0 <= a <= n or b < 0:
         raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
-    per_input = min(binomial(n, a) * insertion_count(q, b, n - a + b), q ** (n - a + b))
-    work = q ** n * per_input
+    work = q ** n * output_count_bound(q, n, a, b)
     if work > cap:
         raise CapExceededError("average degree enumeration", work, cap)
-    total = sum(len(channel_output_set(x, a, b, q)) for x in all_strings(q, n))
+    total = sum(len(output_ranks(x, a, b, q)) for x in all_strings(q, n))
     avg = Fraction(total, q ** n)
     s = a + b
     asym = Fraction(binomial(n, s) * binomial(s, a) * (q - 1) ** s, q ** a)

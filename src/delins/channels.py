@@ -7,9 +7,12 @@ two strings whenever they share a common subsequence of length l; the
 neighborhood of an input is exactly its channel output set.
 
 Output sets come in two forms.  insertion_set and channel_output_set build
-sets of tuples and are the reference route; insertion_ranks and
-output_ranks enumerate base-q ranks without duplicates, and the graph, the
-packing bound and the equivalence check use them.
+sets of tuples and are the reference route of the tests; insertion_ranks
+and output_ranks enumerate base-q ranks without duplicates, and every other
+caller uses them.  conflict_masks groups inputs on shared outputs into one
+conflict row per input.  The s-deletion conflict graph and the channel
+equivalence check both build their relations with it, so channel
+equivalence is equality of the deletion masks and the channel masks.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import IO, Iterator
+from typing import IO, Collection, Hashable, Iterable, Iterator
 
 from delins.errors import CapExceededError
 from delins.qstrings import (
@@ -216,6 +219,39 @@ def channel_output_set(x: Qstr, a: int, b: int, q: int) -> set[Qstr]:
     return out
 
 
+def output_count_bound(q: int, n: int, a: int, b: int) -> int:
+    """An upper bound on |channel_output_set(x, a, b, q)| for x in [q]^n, for
+    cap checks: every output is one of the insertion sets of the
+    binom(n, a) deletion results, and a string of length n - a + b."""
+    return min(binomial(n, a) * insertion_count(q, b, n - a + b), q ** (n - a + b))
+
+
+def conflict_masks(outputs: Iterable[Collection[Hashable]]) -> tuple[list[int], list[int]]:
+    """Conflict rows of the inputs, grouping inputs by shared outputs.
+
+    outputs holds one output collection per input, in input order; bit j of
+    row i is set iff inputs i and j share an output.  Each output contributes
+    one group mask, the OR of its inputs' bits, to the row of every input in
+    the group; self bits are cleared at the end.  Returns the rows and each
+    input's output count.
+    """
+    costs: list[int] = []
+    groups: dict[Hashable, list[int]] = {}
+    for rank, out in enumerate(outputs):
+        costs.append(len(out))
+        for z in out:
+            groups.setdefault(z, []).append(rank)
+    size = len(costs)
+    masks = [0] * size
+    for members in groups.values():
+        group = sum(1 << r for r in members)
+        for r in members:
+            masks[r] |= group
+    for r in range(size):
+        masks[r] &= ~(1 << r)
+    return masks, costs
+
+
 @dataclass(frozen=True)
 class ChannelGraph:
     """Explicit bipartite channel graph.
@@ -397,10 +433,6 @@ def parallelogram_counterexample(
     return None
 
 
-def check_parallelogram(q: int, l: int, m: int, n: int, cap: int = DEFAULT_CAP) -> bool:
-    return parallelogram_counterexample(q, l, m, n, cap) is None
-
-
 def parallelogram_range_counterexample(
     q: int, m: int, n: int, cap: int = DEFAULT_CAP
 ) -> tuple[int, Qstr, Qstr] | None:
@@ -425,40 +457,14 @@ def parallelogram_range_counterexample(
     return None
 
 
-def _output_rank_sets(q: int, n: int, a: int, b: int) -> list[frozenset[int]]:
-    """Channel output sets for every x in [q]^n, as ranks over [q]^(n-a+b).
-
-    Insertion sets are cached per deleted string, since deletion results are
-    shared heavily across inputs.
-    """
-    cache: dict[Qstr, frozenset[int]] = {}
-    out = []
-    for x in all_strings(q, n):
-        acc: set[int] = set()
-        for z in deletion_set(x, a):
-            ranks = cache.get(z)
-            if ranks is None:
-                ranks = frozenset(insertion_ranks(z, b, q))
-                cache[z] = ranks
-            acc |= ranks
-        out.append(frozenset(acc))
-    return out
-
-
-def equivalence_workload(q: int, n: int, a: int, b: int) -> int:
-    """Estimated enumeration size of check_channel_equivalence, for cap checks."""
-    s = a + b
-    per_input = min(binomial(n, a) * insertion_count(q, b, n - a + b), q ** (n - a + b))
-    return q ** n * (per_input + binomial(n, s))
-
-
 def channel_equivalence_counterexample(
     q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP
 ) -> tuple[Qstr, Qstr] | None:
     """Search [q]^n for a pair where the s-deletion conflict relation and the
     (a, b)-channel conflict relation disagree, s = a + b.
 
-    Returns a violating pair, or None after exhausting all pairs.
+    Both relations are built by conflict_masks, so they agree iff the masks
+    are equal.  Returns the first violating pair in all_strings order, or None.
     """
     check_alphabet(q)
     s = a + b
@@ -466,17 +472,16 @@ def channel_equivalence_counterexample(
         raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
     if s > n:
         raise ValueError(f"need a + b <= n, got {s} > {n}")
-    work = max(equivalence_workload(q, n, a, b), q ** (2 * n))
+    work = max(q ** n * (output_count_bound(q, n, a, b) + binomial(n, s)), q ** (2 * n))
     if work > cap:
         raise CapExceededError("channel equivalence enumeration", work, cap)
-    strings = list(all_strings(q, n))
-    del_sets = [frozenset(rank_of(z, q) for z in deletion_set(x, s)) for x in strings]
-    out_sets = _output_rank_sets(q, n, a, b)
-    for i in range(len(strings)):
-        di, oi = del_sets[i], out_sets[i]
-        for j in range(i + 1, len(strings)):
-            if di.isdisjoint(del_sets[j]) != oi.isdisjoint(out_sets[j]):
-                return strings[i], strings[j]
+    deletion_masks, _ = conflict_masks(deletion_set(x, s) for x in all_strings(q, n))
+    channel_masks, _ = conflict_masks(output_ranks(x, a, b, q) for x in all_strings(q, n))
+    for i, (mine, theirs) in enumerate(zip(deletion_masks, channel_masks)):
+        later = (mine ^ theirs) >> (i + 1)
+        if later:
+            j = i + (later & -later).bit_length()
+            return string_of(i, q, n), string_of(j, q, n)
     return None
 
 

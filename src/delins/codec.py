@@ -235,14 +235,3 @@ def enumerate_parameters(
                         yield EdgeParameter(sides, offsets, intervals)
 
     return generate()
-
-
-def constructable_edge_count(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> int:
-    """|P| by enumeration, cross-checked against the closed product-sum."""
-    count = sum(1 for _ in enumerate_parameters(q, l, a, b, cap))
-    closed = parameter_count(q, l, a, b)
-    if count != closed:
-        raise RuntimeError(
-            f"parameter enumeration yielded {count} but the closed count is {closed}"
-        )
-    return count

@@ -41,7 +41,9 @@ class ConflictGraph:
 
     Vertices are ranks of strings in [q]^n; masks[i] has bit j set iff the
     s-deletion sets of strings i and j intersect.  Irreflexive and symmetric
-    as stored.  costs[i] is the size of the s-deletion set of string i.
+    as stored.  costs[i] is the size of the s-deletion set of string i.  Both
+    come from channels.conflict_masks, which the channel equivalence check
+    also uses to build the (a, b)-channel masks it compares with these.
     """
 
     q: int
@@ -66,33 +68,15 @@ class ConflictGraph:
 
 
 def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> ConflictGraph:
-    """Conflict graph via the s-deletion formulation, grouping inputs by
-    shared deletion results.
-
-    Each deletion result contributes one group mask, the OR of its inputs'
-    bits, to the row of every input in the group; self bits are cleared at
-    the end.
-    """
+    """Conflict graph via the s-deletion formulation: channels.conflict_masks
+    groups the inputs on shared deletion results."""
     check_alphabet(q)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     size = q ** n
     if size > cap:
         raise CapExceededError("conflict graph vertex enumeration", size, cap)
-    costs = [0] * size
-    groups: dict[Qstr, list[int]] = {}
-    for rank, x in enumerate(all_strings(q, n)):
-        outputs = ch.deletion_set(x, s)
-        costs[rank] = len(outputs)
-        for z in outputs:
-            groups.setdefault(z, []).append(rank)
-    masks = [0] * size
-    for members in groups.values():
-        group = sum(1 << r for r in members)
-        for r in members:
-            masks[r] |= group
-    for r in range(size):
-        masks[r] &= ~(1 << r)
+    masks, costs = ch.conflict_masks(ch.deletion_set(x, s) for x in all_strings(q, n))
     return ConflictGraph(q, n, s, tuple(masks), tuple(costs))
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delins import channels as ch
+from delins import cli
 from delins import qstrings as qs
 from delins.errors import CapExceededError
 
@@ -124,15 +125,28 @@ class TestInsertionRanks:
                         assert len(ranks) == qs.insertion_count(q, s, n + s)
 
     def test_output_ranks_match_channel_output_set(self):
+        # and the grouping on the channel side: conflict_masks over the ranks
+        # equals pairwise isdisjoint over the tuple sets
         for q, max_n in ((2, 5), (3, 4)):
             for n in range(max_n + 1):
+                strings = list(qs.all_strings(q, n))
                 for s in range(3):
                     for a in range(min(s, n) + 1):
-                        for x in qs.all_strings(q, n):
-                            expected = {
-                                qs.rank_of(y, q) for y in ch.channel_output_set(x, a, s - a, q)
-                            }
-                            assert ch.output_ranks(x, a, s - a, q) == expected, (q, x, a)
+                        outs = [ch.channel_output_set(x, a, s - a, q) for x in strings]
+                        ranks = [ch.output_ranks(x, a, s - a, q) for x in strings]
+                        for x, out, got in zip(strings, outs, ranks):
+                            assert got == {qs.rank_of(y, q) for y in out}, (q, x, a)
+                        expected = [
+                            sum(
+                                1 << j
+                                for j, other in enumerate(outs)
+                                if j != i and not mine.isdisjoint(other)
+                            )
+                            for i, mine in enumerate(outs)
+                        ]
+                        masks, costs = ch.conflict_masks(ranks)
+                        assert masks == expected, (q, n, a)
+                        assert costs == [len(out) for out in outs], (q, n, a)
 
     def test_output_ranks_rejects_overlong_deletion(self):
         with pytest.raises(ValueError):
@@ -251,7 +265,7 @@ class TestChannelGraphMemory:
 class TestParallelogram:
     @pytest.mark.parametrize("q,l,m,n", [(2, 2, 3, 3), (2, 1, 2, 2), (3, 1, 2, 3)])
     def test_holds_on_anchor_instances(self, q, l, m, n):
-        assert ch.check_parallelogram(q, l, m, n)
+        assert ch.parallelogram_counterexample(q, l, m, n) is None
 
     def test_agrees_with_explicit_set_search(self):
         # independent route: materialize subsequence and supersequence sets
@@ -266,11 +280,11 @@ class TestParallelogram:
 
     def test_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
-            ch.check_parallelogram(2, 3, 3, 4)
+            ch.parallelogram_counterexample(2, 3, 3, 4)
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
-            ch.check_parallelogram(2, 2, 20, 20, cap=1 << 10)
+            ch.parallelogram_counterexample(2, 2, 20, 20, cap=1 << 10)
 
 
 def _skewed_scs(x, y, lcs, scs):
@@ -327,3 +341,59 @@ class TestChannelEquivalence:
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             ch.check_channel_equivalence(2, 14, 1, 1, cap=1 << 10)
+
+    @pytest.mark.parametrize(
+        "q,n,a,b,victim",
+        [(2, 5, 0, 2, "00101"), (3, 3, 1, 0, "002"), (2, 4, 2, 0, "0010"), (3, 4, 0, 2, "0012")],
+    )
+    def test_first_disagreement_matches_brute_force(self, monkeypatch, capsys, q, n, a, b, victim):
+        victim = qs.parse_qary(victim, q)
+        real = ch.output_ranks
+
+        def dropped(x, a_, b_, q_):
+            out = real(x, a_, b_, q_)
+            if tuple(x) == victim and (a_, b_) == (a, b):
+                out.discard(max(out))
+            return out
+
+        monkeypatch.setattr(ch, "output_ranks", dropped)
+        strings = list(qs.all_strings(q, n))
+        dels = [ch.deletion_set(x, a + b) for x in strings]
+        outs = [dropped(x, a, b, q) for x in strings]
+        brute = next(
+            (
+                (strings[i], strings[j])
+                for i in range(len(strings))
+                for j in range(i + 1, len(strings))
+                if dels[i].isdisjoint(dels[j]) != outs[i].isdisjoint(outs[j])
+            ),
+            None,
+        )
+        assert brute is not None
+        assert ch.channel_equivalence_counterexample(q, n, a, b) == brute
+
+        assert cli.main(["verify", "--q", str(q), "--max-n", str(n)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("channel conflict equivalence"))
+        assert "FAIL" in lines[at]
+        x, y = (qs.format_qary(w, q) for w in brute)
+        assert lines[at + 1] == f"  counterexample: q={q} n={n} a={a} b={b} x={x} y={y}"
+
+    def test_memory_peak_stays_small(self):
+        # each input's output set is dropped once it has been grouped
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert ch.check_channel_equivalence(3, 4, 0, 3)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+
+
+class TestConflictMasks:
+    def test_examples(self):
+        masks, costs = ch.conflict_masks([{1, 2}, {3}, {2, 4}, set()])
+        assert masks == [0b100, 0, 0b1, 0]
+        assert costs == [2, 1, 2, 0]
+        assert ch.conflict_masks([]) == ([], [])

@@ -253,9 +253,11 @@ class TestEnumerateParameters:
             list(cdc.enumerate_parameters(2, 22, 1, 1, cap=1 << 10))
 
     def test_constructable_edge_count_cross_checks(self):
-        assert cdc.constructable_edge_count(2, 4, 0, 0) == 14
-        assert cdc.constructable_edge_count(3, 4, 1, 0) == 18
-        assert cdc.constructable_edge_count(2, 2, 1, 1) == cdc.parameter_count(2, 2, 1, 1)
+        # the enumeration and the closed product-sum give the same count
+        for args, expected in [((2, 4, 0, 0), 14), ((3, 4, 1, 0), 18)]:
+            assert sum(1 for _ in cdc.enumerate_parameters(*args)) == expected
+            assert cdc.parameter_count(*args) == expected
+        assert sum(1 for _ in cdc.enumerate_parameters(2, 2, 1, 1)) == cdc.parameter_count(2, 2, 1, 1)
 
 
 class TestRoundTrip:
