@@ -77,6 +77,15 @@ def few_runs_bound(q: int, n: int, eps: float) -> float:
     return q ** n * math.exp(-2 * (n - 1) * eps * eps)
 
 
+def few_runs_cutoff(q: int, n: int, eps: float) -> int:
+    """The most runs a length-n string may have and still count as having
+    few runs: the floor of ((q-1)/q - eps)(n-1) + 1.  eps is a float (the
+    typicality radius is the square root of a logarithm), so the floor is
+    taken with a small guard, so that float noise cannot flip a boundary
+    case."""
+    return math.floor(((q - 1) / q - eps) * (n - 1) + 1 + FLOAT_GUARD)
+
+
 def generalized_code_bound(q: int, n: int, a: int, b: int) -> Fraction:
     """Finite-length value of the mixed-channel packing bound on codes that
     correct a deletions and b insertions: q^(n+b) over
@@ -147,8 +156,7 @@ def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> 
 
     The alternating cutoff is ceil(c_threshold) in exact integers: the least
     c >= 0 with q**c >= n**(s+2).  The run-count radius uses the natural log;
-    its cutoff is rounded with a small guard so that float noise cannot flip
-    a boundary case.
+    few_runs_cutoff turns it into the run-count cutoff.
     """
     check_alphabet(q)
     if n < 2:
@@ -160,8 +168,7 @@ def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> 
     while power < target:
         alt_cutoff += 1
         power *= q
-    run_threshold = ((q - 1) / q - eps) * (n - 1) + 1
-    run_cutoff = math.floor(run_threshold + FLOAT_GUARD)
+    run_cutoff = few_runs_cutoff(q, n, eps)
     base = TypicalitySplit(q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff)
     if q ** n > cap:
         return base

@@ -13,6 +13,8 @@ caller uses them.  conflict_masks groups inputs on shared outputs into one
 conflict row per input.  The s-deletion conflict graph and the channel
 equivalence check both build their relations with it, so channel
 equivalence is equality of the deletion masks and the channel masks.
+parallelogram_range_counterexample checks the subsequence/supersequence
+duality at every length l on one LCS/SCS sweep of the pair space.
 """
 
 from __future__ import annotations
@@ -410,34 +412,13 @@ def _duality_sweep(q: int, m: int, n: int) -> Iterator[tuple[Qstr, int, int, int
             depth = k
 
 
-def parallelogram_counterexample(
-    q: int, l: int, m: int, n: int, cap: int = DEFAULT_CAP
-) -> tuple[Qstr, Qstr] | None:
-    """Search [q]^m x [q]^n for a pair violating the subsequence/supersequence
-    duality at length l: a common subsequence of length l exists iff a common
-    supersequence of length m + n - l exists.
-
-    Returns the first violating pair in all_strings order, or None after
-    exhausting all pairs.
-    """
-    check_alphabet(q)
-    if not (l < m and l < n):
-        raise ValueError(f"need l < m and l < n, got l={l}, m={m}, n={n}")
-    pairs = q ** (m + n)
-    if pairs > cap:
-        raise CapExceededError("parallelogram pair enumeration", pairs, cap)
-    target = m + n - l
-    for x, y_rank, lcs, scs in _duality_sweep(q, m, n):
-        if (lcs >= l) != (scs <= target):
-            return x, string_of(y_rank, q, n)
-    return None
-
-
 def parallelogram_range_counterexample(
     q: int, m: int, n: int, cap: int = DEFAULT_CAP
 ) -> tuple[int, Qstr, Qstr] | None:
-    """Check the duality for every l in [1, min(m, n)) on one sweep of the
-    pair space, which gives both table values of each pair once.
+    """Search [q]^m x [q]^n for a pair violating the subsequence/supersequence
+    duality at some length l in [1, min(m, n)): a common subsequence of length
+    l exists iff a common supersequence of length m + n - l exists.  One sweep
+    of the pair space gives both table values of each pair once.
 
     Returns the first violation (l, x, y), pairs in all_strings order and l
     ascending within a pair, or None.

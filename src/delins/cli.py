@@ -95,6 +95,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.max_n < 2:
+        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
     caps = orc.VerifyCaps(max_n=args.max_n, cap=args.cap)
     checks = orc.verify_all_lemmas(args.q, caps)
     width = max(len(c.name) for c in checks)
@@ -110,9 +112,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     graph = ch.build_channel_graph(args.q, args.l, args.a, args.b, args.cap)
-    constructable = cdc.parameter_count(args.q, args.l, args.a, args.b)
-    upper = bnd.edge_count_upper(args.q, args.l, args.a, args.b)
-    edges = graph.edge_count
+    constructable, edges, upper = orc.edge_sandwich(graph)
     dmin, davg, dmax = graph.degree_stats()
     print(f"q={args.q} l={args.l} a={args.a} b={args.b}")
     print(f"left={graph.left_size} right={graph.right_size}")
@@ -201,20 +201,11 @@ def cmd_codec(args: argparse.Namespace) -> int:
     if args.roundtrip:
         if args.l is None or args.a is None or args.b is None:
             raise UsageError("--roundtrip needs --l, --a and --b")
-        total = 0
-        for param in cdc.enumerate_parameters(q, args.l, args.a, args.b, args.cap):
-            x, y = cdc.construct_edge(param, q)
-            try:
-                z0, triples = cdc.deconstruct(x, y, q)
-                ok = cdc.EdgeParameter.from_construction(z0, triples) == param
-            except cdc.NotDeconstructableError:
-                ok = False
-            if not ok:
-                print(
-                    f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}"
-                )
-                return EXIT_FAIL
-            total += 1
+        total, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
+        if failure is not None:
+            x, y = failure
+            print(f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}")
+            return EXIT_FAIL
         print(f"all {total} parameters round-trip")
         return EXIT_OK
     raise UsageError("codec needs one of --deconstruct, --construct, --roundtrip")

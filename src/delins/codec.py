@@ -235,3 +235,25 @@ def enumerate_parameters(
                         yield EdgeParameter(sides, offsets, intervals)
 
     return generate()
+
+
+def roundtrip_counterexample(
+    q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP
+) -> tuple[int, tuple[Qstr, Qstr] | None]:
+    """Construct the edge of every parameter of (q, l, a, b) and deconstruct it.
+
+    Returns (parameters checked, None) when every edge gives back its own
+    parameter; otherwise the count up to and including the first edge (x, y),
+    in enumerate_parameters order, that does not, and that edge.
+    """
+    count = 0
+    for param in enumerate_parameters(q, l, a, b, cap):
+        count += 1
+        x, y = construct_edge(param, q)
+        try:
+            z0, triples = deconstruct(x, y, q)
+        except NotDeconstructableError:
+            return count, (x, y)
+        if EdgeParameter.from_construction(z0, triples) != param:
+            return count, (x, y)
+    return count, None

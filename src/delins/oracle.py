@@ -5,11 +5,17 @@ combinatorial claim used by the bound formulas.
 Everything here is exact at desk scale.  Results above the configured caps
 are errors, never approximations; a timed-out search returns its incumbent
 flagged as a lower bound only.
+
+Each exhaustive claim is one function over its instance grid, registered in
+CHECKS and run through run_check: by `delins verify` (verify_all_lemmas) and
+by the acceptance suite at larger grids.  `codec --roundtrip` and `graph`
+run the per-instance parts, codec.roundtrip_counterexample and
+edge_sandwich.  The acceptance suite also keeps independent second routes
+to some claims (per-input output sets, pairwise LCS); those are not copies.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, replace
 from operator import itemgetter
@@ -328,24 +334,41 @@ class VerifyCaps:
     graph_l: int = 5
     codec_l: int = 6
     interval_length: int = 5
-    suffix_length: int = 2
     max_s: int = 2
-    eps_grid: tuple[float, ...] = (0.1, 0.2, 0.3, 0.5)
     cap: int = DEFAULT_CAP
 
 
-def _splits(max_s: int, max_a: int | None = None) -> list[tuple[int, int]]:
-    out = []
-    for s in range(max_s + 1):
-        for a in range(s + 1):
-            if max_a is not None and a > max_a:
-                continue
-            out.append((a, s - a))
-    return out
+# Longest suffix appended to both sides of an insert step by the inversion
+# check, and the eps values at which the run-count check compares.
+SUFFIX_LENGTH = 2
+EPS_GRID = (0.1, 0.2, 0.3, 0.5)
+
+# The claim registry: check key -> report name, in report order.  Each
+# _check_<key>(q, caps) runs one claim over its instance grid and returns
+# (instances run, first counterexample or None).  run_check looks the
+# function up in this module when it runs, so rebinding oracle._check_<key>
+# (as a tracer or a test does) changes what runs.
+CHECKS = {
+    "parallelogram": "substring parallelogram",
+    "channel_equivalence": "channel conflict equivalence",
+    "edge_bounds": "edge count sandwich",
+    "insert_delete": "insert/delete inversion",
+    "roundtrip": "construct/deconstruct round-trip",
+    "degree_lower_bound": "degree lower bound",
+    "alternating_bound": "alternating interval count",
+    "runs_bound": "run count concentration",
+}
 
 
-def _check_parallelogram(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "substring parallelogram"
+def _splits(max_s: int) -> list[tuple[int, int]]:
+    return [(a, s - a) for s in range(max_s + 1) for a in range(s + 1)]
+
+
+def _pair(x: Qstr, y: Qstr, q: int) -> str:
+    return f"x={format_qary(x, q)} y={format_qary(y, q)}"
+
+
+def _check_parallelogram(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.pair_length, caps.max_n)
     instances = 0
     for m in range(2, limit + 1):
@@ -354,16 +377,11 @@ def _check_parallelogram(q: int, caps: VerifyCaps) -> LemmaCheck:
             instances += q ** (m + n) * (min(m, n) - 1)
             if witness is not None:
                 l, x, y = witness
-                detail = (
-                    f"q={q} l={l} m={m} n={n} "
-                    f"x={format_qary(x, q)} y={format_qary(y, q)}"
-                )
-                return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+                return instances, f"q={q} l={l} m={m} n={n} {_pair(x, y, q)}"
+    return instances, None
 
 
-def _check_channel_equivalence(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "channel conflict equivalence"
+def _check_channel_equivalence(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.pair_length, caps.max_n)
     instances = 0
     for n in range(1, limit + 1):
@@ -371,47 +389,37 @@ def _check_channel_equivalence(q: int, caps: VerifyCaps) -> LemmaCheck:
             witness = ch.channel_equivalence_counterexample(q, n, a, b, caps.cap)
             instances += q ** (2 * n)
             if witness is not None:
-                x, y = witness
-                detail = (
-                    f"q={q} n={n} a={a} b={b} "
-                    f"x={format_qary(x, q)} y={format_qary(y, q)}"
-                )
-                return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+                return instances, f"q={q} n={n} a={a} b={b} {_pair(*witness, q)}"
+    return instances, None
 
 
-def edge_sandwich(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> tuple[int, int, int]:
-    """(constructable count, exact edge count, upper bound) for one graph."""
-    graph = ch.build_channel_graph(q, l, a, b, cap)
-    return (
-        cdc.parameter_count(q, l, a, b),
-        graph.edge_count,
-        bnd.edge_count_upper(q, l, a, b),
-    )
+def edge_sandwich(graph: ch.ChannelGraph) -> tuple[int, int, int]:
+    """(constructable count, exact edge count, upper bound) of a built channel
+    graph; the claim is that they come in ascending order."""
+    q, l, a, b = graph.q, graph.l, graph.a, graph.b
+    return cdc.parameter_count(q, l, a, b), graph.edge_count, bnd.edge_count_upper(q, l, a, b)
 
 
-def _check_edge_bounds(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "edge count sandwich"
+def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.graph_l, caps.max_n)
     instances = 0
     for l in range(1, limit + 1):
         for a, b in _splits(caps.max_s):
-            constructable, edges, upper = edge_sandwich(q, l, a, b, caps.cap)
+            graph = ch.build_channel_graph(q, l, a, b, caps.cap)
+            constructable, edges, upper = edge_sandwich(graph)
             instances += 1
             if not constructable <= edges <= upper:
-                detail = (
+                return instances, (
                     f"q={q} l={l} a={a} b={b} "
                     f"constructable={constructable} edges={edges} upper={upper}"
                 )
-                return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+    return instances, None
 
 
-def _check_insert_delete(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "insert/delete inversion"
+def _check_insert_delete(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     instances = 0
     suffixes: list[Qstr] = [()]
-    for length in range(1, min(caps.suffix_length, caps.max_n) + 1):
+    for length in range(1, min(SUFFIX_LENGTH, caps.max_n) + 1):
         suffixes.extend(all_strings(q, length))
     pairs = [
         (u, v)
@@ -429,40 +437,27 @@ def _check_insert_delete(q: int, caps: VerifyCaps) -> LemmaCheck:
                         instances += 1
                         got = cdc.delete_step(x + u, y + v, q)
                         if got != (triple, u, v):
-                            detail = (
+                            return instances, (
                                 f"q={q} side={side} offset={offset} "
                                 f"w={format_qary(w, q)} u={format_qary(u, q)} "
                                 f"v={format_qary(v, q)}"
                             )
-                            return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+    return instances, None
 
 
-def _check_roundtrip(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "construct/deconstruct round-trip"
+def _check_roundtrip(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.codec_l, caps.max_n)
     instances = 0
     for l in range(1, limit + 1):
         for a, b in _splits(caps.max_s):
-            for param in cdc.enumerate_parameters(q, l, a, b, caps.cap):
-                instances += 1
-                x, y = cdc.construct_edge(param, q)
-                try:
-                    z0, triples = cdc.deconstruct(x, y, q)
-                    ok = cdc.EdgeParameter.from_construction(z0, triples) == param
-                except cdc.NotDeconstructableError:
-                    ok = False
-                if not ok:
-                    detail = (
-                        f"q={q} l={l} a={a} b={b} "
-                        f"x={format_qary(x, q)} y={format_qary(y, q)}"
-                    )
-                    return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+            count, failure = cdc.roundtrip_counterexample(q, l, a, b, caps.cap)
+            instances += count
+            if failure is not None:
+                return instances, f"q={q} l={l} a={a} b={b} {_pair(*failure, q)}"
+    return instances, None
 
 
-def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "degree lower bound"
+def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.max_n, 8 if q == 2 else 5)
     instances = 0
     for n in range(1, limit + 1):
@@ -473,16 +468,14 @@ def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> LemmaCheck:
                 lower = bnd.degree_lower_bound(q, n, stats.runs, stats.longest_alternating, a, b)
                 actual = len(ch.output_ranks(x, a, b, q))
                 if lower > actual:
-                    detail = (
+                    return instances, (
                         f"q={q} n={n} a={a} b={b} x={format_qary(x, q)} "
                         f"lower={lower} actual={actual}"
                     )
-                    return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+    return instances, None
 
 
-def _check_alternating_bound(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "alternating interval count"
+def _check_alternating_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     instances = 0
     for n in range(2, caps.max_n + 1):
         histogram = [0] * (n + 1)
@@ -493,31 +486,38 @@ def _check_alternating_bound(q: int, caps: VerifyCaps) -> LemmaCheck:
             limit = bnd.alternating_interval_bound(q, n, c)
             instances += 1
             if count > limit:
-                detail = f"q={q} n={n} c={c} count={count} bound={limit}"
-                return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+                return instances, f"q={q} n={n} c={c} count={count} bound={limit}"
+    return instances, None
 
 
-def _check_runs_bound(q: int, caps: VerifyCaps) -> LemmaCheck:
-    name = "run count concentration"
+def _check_runs_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     instances = 0
     for n in range(1, caps.max_n + 1):
         histogram = [0] * (n + 2)
         for x in all_strings(q, n):
             histogram[string_stats(x).runs] += 1
-        for eps in caps.eps_grid:
-            cutoff = math.floor(((q - 1) / q - eps) * (n - 1) + 1 + bnd.FLOAT_GUARD)
-            count = sum(histogram[: max(cutoff, 0) + 1])
+        for eps in EPS_GRID:
+            count = sum(histogram[: max(bnd.few_runs_cutoff(q, n, eps), 0) + 1])
             limit = bnd.few_runs_bound(q, n, eps)
             instances += 1
             if count > limit + 1e-12 * max(1.0, limit):
-                detail = f"q={q} n={n} eps={eps} count={count} bound={limit}"
-                return LemmaCheck(name, False, instances, detail)
-    return LemmaCheck(name, True, instances)
+                return instances, f"q={q} n={n} eps={eps} count={count} bound={limit}"
+    return instances, None
+
+
+def run_check(key: str, q: int, caps: VerifyCaps) -> LemmaCheck:
+    """Run the registered claim `key` over its instance grid at these caps.
+
+    A claim that ran no instance has shown nothing, so it does not pass.
+    """
+    instances, counterexample = globals()[f"_check_{key}"](q, caps)
+    if instances == 0 and counterexample is None:
+        counterexample = "no instance in range"
+    return LemmaCheck(CHECKS[key], counterexample is None, instances, counterexample)
 
 
 def verify_all_lemmas(q: int, caps: VerifyCaps | None = None) -> list[LemmaCheck]:
-    """Run every exhaustive check at the given caps, one report line each.
+    """Run every registered claim at the given caps, one report line each.
 
     Raises CapExceededError up front when the requested lengths cannot be
     enumerated under the cap.
@@ -528,13 +528,4 @@ def verify_all_lemmas(q: int, caps: VerifyCaps | None = None) -> list[LemmaCheck
         raise CapExceededError(
             f"string enumeration at q={q}, n={caps.max_n}", q ** caps.max_n, caps.cap
         )
-    return [
-        _check_parallelogram(q, caps),
-        _check_channel_equivalence(q, caps),
-        _check_edge_bounds(q, caps),
-        _check_insert_delete(q, caps),
-        _check_roundtrip(q, caps),
-        _check_degree_lower_bound(q, caps),
-        _check_alternating_bound(q, caps),
-        _check_runs_bound(q, caps),
-    ]
+    return [run_check(key, q, caps) for key in CHECKS]

@@ -3,6 +3,16 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The heavy searches stay within desk scale; the longest item is the exact
 maximum code search at length 8, which dominates the suite's runtime.
+
+Criteria 01, 04 and the duality half of 05 run the claims of `delins verify`
+through the oracle's claim registry (`oracle.run_check`) at larger grids, so
+each of those loops exists once.  Three loops here are not copies of a
+registered claim and stay: criterion 02's per-input `channel_output_set`
+route and its pairwise `lcs_at_least` route, which are independent second
+routes to the edge count; criterion 03, which counts outputs through
+`channel_output_set` where the registered check uses `output_ranks`; and
+criterion 05's equivalence grid, which also tests that the cap refuses
+exactly the instances in EXPECTED_EQUIVALENCE_SKIPS.
 """
 
 import math
@@ -12,7 +22,6 @@ from pathlib import Path
 from delins import bounds as bnd
 from delins import channels as ch
 from delins import cli
-from delins import codec as cdc
 from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
@@ -47,15 +56,10 @@ def _report(number, name):
 def test_criterion_01_roundtrip_full_range():
     total = 0
     for q in (2, 3):
-        for l in range(1, 9):
-            for a, b in _splits(2):
-                for param in cdc.enumerate_parameters(q, l, a, b):
-                    x, y = cdc.construct_edge(param, q)
-                    z0, triples = cdc.deconstruct(x, y, q)
-                    assert cdc.EdgeParameter.from_construction(z0, triples) == param, (
-                        q, l, a, b, param,
-                    )
-                    total += 1
+        # l = 1..8, every split with at most two errors
+        check = orc.run_check("roundtrip", q, orc.VerifyCaps(max_n=8, codec_l=8, max_s=2))
+        assert check.passed, check.counterexample
+        total += check.instances
     assert total > 200_000
     _report(1, f"construct/deconstruct round-trip ({total} parameters)")
 
@@ -68,9 +72,7 @@ def test_criterion_02_edge_count_sandwich():
         for l in range(1, 9):
             for a, b in _splits(2):
                 graph = ch.build_channel_graph(q, l, a, b)
-                edges = graph.edge_count
-                constructable = cdc.parameter_count(q, l, a, b)
-                upper = bnd.edge_count_upper(q, l, a, b)
+                constructable, edges, upper = orc.edge_sandwich(graph)
                 assert constructable <= edges <= upper, (q, l, a, b)
                 # independent exact route: per-input output sets
                 degree_sum = sum(
@@ -113,36 +115,23 @@ def test_criterion_03_degree_lower_bound_soundness():
 
 
 def test_criterion_04_concentration_bounds_soundness():
-    eps_grid = (0.1, 0.2, 0.3, 0.5)
     checked = 0
     for q in (2, 3):
-        for n in range(1, 11):
-            alt_hist = [0] * (n + 1)
-            run_hist = [0] * (n + 1)
-            for x in qs.all_strings(q, n):
-                stats = qs.string_stats(x)
-                alt_hist[stats.longest_alternating] += 1
-                run_hist[stats.runs] += 1
-            for c in range(2, n + 1):
-                count = sum(alt_hist[c:])
-                assert count <= bnd.alternating_interval_bound(q, n, c), (q, n, c)
-                checked += 1
-            for eps in eps_grid:
-                cutoff = math.floor(((q - 1) / q - eps) * (n - 1) + 1 + bnd.FLOAT_GUARD)
-                count = sum(run_hist[: max(cutoff, 0) + 1])
-                limit = bnd.few_runs_bound(q, n, eps)
-                assert count <= limit + 1e-12 * max(1.0, limit), (q, n, eps)
-                checked += 1
+        # n = 1..10; every c in [2, n], every eps in oracle.EPS_GRID
+        for key in ("alternating_bound", "runs_bound"):
+            check = orc.run_check(key, q, orc.VerifyCaps(max_n=10))
+            assert check.passed, check.counterexample
+            checked += check.instances
     _report(4, f"interval and run concentration bounds ({checked} comparisons)")
 
 
 def test_criterion_05_duality_and_equivalence():
     instances = 0
     for q in (2, 3):
-        for m in range(2, 7):
-            for n in range(2, 7):
-                assert ch.parallelogram_range_counterexample(q, m, n) is None, (q, m, n)
-                instances += min(m, n) - 1
+        # m, n = 2..6, every l in [1, min(m, n))
+        check = orc.run_check("parallelogram", q, orc.VerifyCaps(max_n=6, pair_length=6))
+        assert check.passed, check.counterexample
+        instances += check.instances
     ran = 0
     skipped = set()
     for q in (2, 3):

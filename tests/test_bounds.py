@@ -96,8 +96,7 @@ class TestFewRunsBound:
                 for x in qs.all_strings(q, n):
                     histogram[qs.run_count(x)] += 1
                 for eps in (0.1, 0.2, 0.3, 0.5):
-                    cutoff = math.floor(((q - 1) / q - eps) * (n - 1) + 1 + bnd.FLOAT_GUARD)
-                    count = sum(histogram[: max(cutoff, 0) + 1])
+                    count = sum(histogram[: max(bnd.few_runs_cutoff(q, n, eps), 0) + 1])
                     limit = bnd.few_runs_bound(q, n, eps)
                     assert count <= limit + 1e-12 * max(1.0, limit)
 

@@ -265,7 +265,8 @@ class TestChannelGraphMemory:
 class TestParallelogram:
     @pytest.mark.parametrize("q,l,m,n", [(2, 2, 3, 3), (2, 1, 2, 2), (3, 1, 2, 3)])
     def test_holds_on_anchor_instances(self, q, l, m, n):
-        assert ch.parallelogram_counterexample(q, l, m, n) is None
+        assert 1 <= l < min(m, n)  # within the range of lengths checked
+        assert ch.parallelogram_range_counterexample(q, m, n) is None
 
     def test_agrees_with_explicit_set_search(self):
         # independent route: materialize subsequence and supersequence sets
@@ -278,13 +279,9 @@ class TestParallelogram:
                     assert (len(zs) > 0) == ch.lcs_at_least(x, y, l)
                     assert (len(ws) > 0) == (ch.scs_length(x, y) <= m + n - l)
 
-    def test_rejects_bad_lengths(self):
-        with pytest.raises(ValueError):
-            ch.parallelogram_counterexample(2, 3, 3, 4)
-
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
-            ch.parallelogram_counterexample(2, 2, 20, 20, cap=1 << 10)
+            ch.parallelogram_range_counterexample(2, 20, 20, cap=1 << 10)
 
 
 def _skewed_scs(x, y, lcs, scs):
@@ -328,9 +325,6 @@ class TestDualitySweep:
                 break
         assert brute is not None and brute[0] == 2
         assert ch.parallelogram_range_counterexample(q, m, n) == brute
-        for l in (2, 3):
-            assert ch.parallelogram_counterexample(q, l, m, n) == brute[1:]
-        assert ch.parallelogram_counterexample(q, 1, m, n) is None
 
 
 class TestChannelEquivalence:

@@ -87,17 +87,47 @@ class TestBounds:
         capsys.readouterr()
 
 
+VERIFY_Q2_N5 = """\
+substring parallelogram           PASS  (instances=10064)
+channel conflict equivalence      PASS  (instances=8172)
+edge count sandwich               PASS  (instances=30)
+insert/delete inversion           PASS  (instances=1976)
+construct/deconstruct round-trip  PASS  (instances=108)
+degree lower bound                PASS  (instances=366)
+alternating interval count        PASS  (instances=10)
+run count concentration           PASS  (instances=20)
+"""
+
+VERIFY_Q3_N4 = """\
+substring parallelogram           PASS  (instances=31914)
+channel conflict equivalence      PASS  (instances=44253)
+edge count sandwich               PASS  (instances=24)
+insert/delete inversion           PASS  (instances=38412)
+construct/deconstruct round-trip  PASS  (instances=135)
+degree lower bound                PASS  (instances=711)
+alternating interval count        PASS  (instances=6)
+run count concentration           PASS  (instances=16)
+"""
+
+
 class TestVerify:
     def test_binary_sweep_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "2", "--max-n", "5")
         assert code == 0
-        lines = [line for line in out.splitlines() if "PASS" in line or "FAIL" in line]
-        assert len(lines) == 8
-        assert all("PASS" in line for line in lines)
+        assert out == VERIFY_Q2_N5
 
     def test_ternary_sweep_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "3", "--max-n", "4")
         assert code == 0
+        assert out == VERIFY_Q3_N4
+
+    @pytest.mark.parametrize("max_n", ["-3", "0", "1"])
+    def test_max_n_below_two_is_usage_error(self, capsys, max_n):
+        # below 2 some claims have no instance at all; a PASS line would be empty
+        code, out, err = run_cli(capsys, "verify", "--q", "2", "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert "usage error" in err and "--max-n" in err
 
     def test_cap_exceeded_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--q", "2", "--max-n", "40")
@@ -237,7 +267,12 @@ class TestCodec:
             capsys, "codec", "--roundtrip", "--q", "2", "--l", "5", "--a", "1", "--b", "1"
         )
         assert code == 0
-        assert "parameters round-trip" in out
+        assert out == "all 0 parameters round-trip\n"  # no composition of 5 into 3 parts >= 2
+        code, out, _ = run_cli(
+            capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
+        )
+        assert code == 0
+        assert out == "all 16 parameters round-trip\n"
 
     def test_roundtrip_decode_failure_exits_one(self, capsys, monkeypatch):
         def refuse(x, y, q, on_step=None):

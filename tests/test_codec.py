@@ -266,10 +266,24 @@ class TestRoundTrip:
         [(2, 4, 1, 0), (2, 5, 1, 1), (2, 6, 2, 0), (3, 4, 1, 1), (3, 5, 0, 2)],
     )
     def test_deconstruct_inverts_construct(self, q, l, a, b):
-        for param in cdc.enumerate_parameters(q, l, a, b):
-            x, y = cdc.construct_edge(param, q)
-            z0, triples = cdc.deconstruct(x, y, q)
-            assert EdgeParameter.from_construction(z0, triples) == param
+        assert cdc.roundtrip_counterexample(q, l, a, b) == (cdc.parameter_count(q, l, a, b), None)
+
+    def test_counterexample_is_the_first_edge_that_fails(self, monkeypatch):
+        edges = [cdc.construct_edge(p, 2) for p in cdc.enumerate_parameters(2, 6, 1, 1)]
+        deconstruct = cdc.deconstruct
+
+        def drops_last_step(x, y, q):
+            z0, triples = deconstruct(x, y, q)
+            return (z0, triples[:-1]) if (x, y) in edges[5:] else (z0, triples)
+
+        monkeypatch.setattr(cdc, "deconstruct", drops_last_step)
+        assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (6, edges[5])
+
+        def refuses(x, y, q):
+            raise cdc.NotDeconstructableError("refused")
+
+        monkeypatch.setattr(cdc, "deconstruct", refuses)
+        assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (1, edges[0])
 
     def test_distinct_parameters_give_distinct_edges(self):
         for q, l, a, b in [(2, 5, 1, 1), (3, 4, 1, 0)]:

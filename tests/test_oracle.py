@@ -1,3 +1,4 @@
+import inspect
 import io
 
 import pytest
@@ -236,13 +237,68 @@ class TestVerifyAllLemmas:
         assert not roundtrip.passed
         assert roundtrip.counterexample is not None
 
+    def test_claim_that_ran_no_instance_does_not_pass(self):
+        checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=1))
+        empty = [c for c in checks if c.instances == 0]
+        assert [c.name for c in empty] == [
+            "substring parallelogram",
+            "insert/delete inversion",
+            "construct/deconstruct round-trip",
+            "alternating interval count",
+        ]
+        for check in empty:
+            assert not check.passed
+            assert check.counterexample == "no instance in range"
+        assert all(c.passed for c in checks if c.instances > 0)
+
+
+class TestClaimRegistry:
+    # The benchmark times each claim as the span oracle.check.<key> by
+    # rebinding the module attribute oracle._check_<key>.  A claim run some
+    # other way, or a renamed key, would silently time as zero.
+    def test_keys_are_the_benchmark_span_names(self):
+        assert tuple(orc.CHECKS) == (
+            "parallelogram",
+            "channel_equivalence",
+            "edge_bounds",
+            "insert_delete",
+            "roundtrip",
+            "degree_lower_bound",
+            "alternating_bound",
+            "runs_bound",
+        )
+        defined = {
+            name[len("_check_"):]
+            for name, obj in vars(orc).items()
+            if name.startswith("_check_") and inspect.isfunction(obj)
+        }
+        assert defined == set(orc.CHECKS)
+        for key in orc.CHECKS:
+            assert not inspect.isgeneratorfunction(getattr(orc, f"_check_{key}"))
+
+    def test_rebinding_a_check_changes_what_verify_runs(self, monkeypatch):
+        calls = []
+        for i, key in enumerate(orc.CHECKS):
+            def fake(q, caps, key=key, i=i):
+                calls.append((key, q, caps.max_n))
+                return i + 1, (f"fake {key}" if key == "roundtrip" else None)
+
+            monkeypatch.setattr(orc, f"_check_{key}", fake)
+        checks = orc.verify_all_lemmas(3, orc.VerifyCaps(max_n=2))
+        assert calls == [(key, 3, 2) for key in orc.CHECKS]
+        assert [(c.name, c.instances) for c in checks] == [
+            (name, i + 1) for i, name in enumerate(orc.CHECKS.values())
+        ]
+        assert [c.name for c in checks if not c.passed] == ["construct/deconstruct round-trip"]
+        assert checks[4].counterexample == "fake roundtrip"
+
 
 class TestEdgeSandwich:
     def test_known_instance(self):
-        constructable, edges, upper = orc.edge_sandwich(2, 1, 1, 0)
+        constructable, edges, upper = orc.edge_sandwich(ch.build_channel_graph(2, 1, 1, 0))
         assert (constructable, edges, upper) == (0, 6, 6)
 
     def test_sandwich_holds_on_grid(self):
         for q, l, a, b in [(2, 4, 1, 1), (2, 5, 2, 0), (3, 3, 1, 0)]:
-            constructable, edges, upper = orc.edge_sandwich(q, l, a, b)
+            constructable, edges, upper = orc.edge_sandwich(ch.build_channel_graph(q, l, a, b))
             assert constructable <= edges <= upper
