@@ -66,50 +66,6 @@ def lcs_length(x: Qstr, y: Qstr) -> int:
     return prev[-1]
 
 
-def lcs_at_least(x: Qstr, y: Qstr, l: int) -> bool:
-    """Decide lcs_length(x, y) >= l, abandoning rows that cannot reach l."""
-    m, n = len(x), len(y)
-    if l <= 0:
-        return True
-    if l > m or l > n:
-        return False
-    prev = [0] * (n + 1)
-    for i, xi in enumerate(x):
-        cur = [0] * (n + 1)
-        row_best = 0
-        for j, yj in enumerate(y):
-            if xi == yj:
-                v = prev[j] + 1
-            else:
-                a, b = cur[j], prev[j + 1]
-                v = a if a >= b else b
-            cur[j + 1] = v
-            if v > row_best:
-                row_best = v
-        if row_best >= l:
-            return True
-        # each remaining row can add at most one matched symbol
-        if row_best + (m - 1 - i) < l:
-            return False
-        prev = cur
-    return False
-
-
-def scs_length(x: Qstr, y: Qstr) -> int:
-    """Length of a shortest common supersequence, by its own table."""
-    prev = list(range(len(y) + 1))
-    for i, xi in enumerate(x, start=1):
-        cur = [i] + [0] * len(y)
-        for j, yj in enumerate(y):
-            if xi == yj:
-                cur[j + 1] = prev[j] + 1
-            else:
-                a, b = cur[j], prev[j + 1]
-                cur[j + 1] = (a if a <= b else b) + 1
-        prev = cur
-    return prev[-1]
-
-
 def deletion_set(x: Qstr, s: int) -> set[Qstr]:
     """All distinct strings obtained from x by deleting exactly s symbols."""
     x = tuple(x)
@@ -357,7 +313,7 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
 
 
 def _duality_sweep(q: int, m: int, n: int) -> Iterator[tuple[Qstr, int, int, int]]:
-    """Yield (x, rank of y, lcs_length(x, y), scs_length(x, y)) for every pair
+    """Yield (x, rank of y, LCS length, SCS length) for every pair (x, y)
     of [q]^m x [q]^n, x and y each in all_strings order.
 
     For each x, [q]^n is walked depth first as an odometer.  Each node extends

@@ -201,6 +201,11 @@ def cmd_codec(args: argparse.Namespace) -> int:
     if args.roundtrip:
         if args.l is None or args.a is None or args.b is None:
             raise UsageError("--roundtrip needs --l, --a and --b")
+        if cdc.parameter_count(q, args.l, args.a, args.b) == 0:
+            raise UsageError(
+                f"no edge parameter exists at q={q} l={args.l} a={args.a} b={args.b}, "
+                "so a round trip would check nothing"
+            )
         total, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
         if failure is not None:
             x, y = failure

@@ -34,6 +34,7 @@ from delins.qstrings import (
     non_alternating_strings,
     string_of,
     string_stats,
+    symmetry_orbits,
 )
 
 # Conflict graphs store one adjacency bitmask per vertex, so they get a much
@@ -141,6 +142,20 @@ class _CodeSearch:
     graph family: chosen codewords consume pairwise disjoint deletion sets,
     so the remaining output-space capacity caps how many candidates can
     still be added (counting the cheapest candidates, one per clique class).
+
+    A root orbit rule skips whole root branches.  Reversal and the symbol
+    permutations map s-deletion sets onto s-deletion sets, so they are
+    automorphisms of a graph from build_conflict_graph (mates[v] is the
+    position mask of v's orbit under them).  Once the root branch of v has
+    finished, the incumbent is at least the largest code through v or any
+    vertex branched before it; a code through an orbit mate g(v) is the
+    image under g of a code through v, of the same size, so the branch of
+    every later mate holds no strict improvement and is skipped.  A skipped
+    vertex still leaves the candidates as a searched one does, and the
+    incumbent only changes on a strict improvement, so every node still
+    visited sees what it saw without the rule and the code found is the
+    same.  Below the root the rule would be unsound: there the vertices
+    already chosen or excluded break the symmetry.
     """
 
     def __init__(self, graph: ConflictGraph):
@@ -159,6 +174,11 @@ class _CodeSearch:
         self.conflicts = [
             int("".join(pick(format(graph.masks[v], width))), 2) for v in order
         ]
+        orbit_of = symmetry_orbits(graph.q, graph.n)
+        orbit_bits: dict[int, int] = {}
+        for position, v in enumerate(order):
+            orbit_bits[orbit_of[v]] = orbit_bits.get(orbit_of[v], 0) | 1 << position
+        self.mates = [orbit_bits[orbit_of[v]] for v in order]
         self.capacity = graph.q ** (graph.n - graph.s)
         self.best_mask = self._greedy_seed()
         self.best_size = self.best_mask.bit_count()
@@ -220,6 +240,9 @@ class _CodeSearch:
         limit = min(usable, len(classes))
         if r_size + limit <= self.best_size:
             return
+        # root orbit rule: orbit mates of the root vertices already searched
+        mates = self.mates if not r_size else None
+        skip = 0
         for color_index in range(len(classes) - 1, -1, -1):
             if r_size + color_index + 1 <= self.best_size:
                 return
@@ -227,7 +250,7 @@ class _CodeSearch:
                 bit = 1 << v
                 if not cand & bit:
                     continue
-                if cost[v] <= capacity:
+                if cost[v] <= capacity and not skip & bit:
                     sub = (cand ^ bit) & ~conflicts[v]
                     if sub:
                         self._expand(r_mask | bit, r_size + 1, sub, capacity - cost[v])
@@ -237,6 +260,8 @@ class _CodeSearch:
                         self.best_size = r_size + 1
                         self.best_mask = r_mask | bit
                 cand ^= bit
+                if mates is not None:
+                    skip |= mates[v]
 
 
 def max_code_exact(

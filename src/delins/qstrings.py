@@ -56,6 +56,38 @@ def string_of(rank: int, q: int, n: int) -> Qstr:
     return tuple(syms)
 
 
+def symmetry_orbits(q: int, n: int) -> list[int]:
+    """Orbit id of every string in [q]^n, indexed by rank, under the group
+    generated by reversal and the q! symbol permutations.
+
+    The id is the smallest rank in the orbit.  Deletion and insertion sets
+    commute with every element of this group, so orbit mates have the same
+    channel behaviour up to relabeling.
+    """
+    check_alphabet(q)
+    if n < 0:
+        raise ValueError(f"length must be nonnegative, got {n}")
+    # Built one symbol at a time over all prefixes, by rank: relabeled[r] is
+    # the rank of prefix r with its symbols renamed 0, 1, 2, ... in order of
+    # first appearance (its smallest image under symbol permutations),
+    # seen[r] lists those symbols, reversal[r] is the rank of its reversal.
+    relabeled, seen, reversal = [0], [()], [0]
+    for k in range(n):
+        weight = q ** k
+        next_relabeled, next_seen, next_reversal = [], [], []
+        for rank, names, rev in zip(relabeled, seen, reversal):
+            for sym in range(q):
+                if sym in names:
+                    next_relabeled.append(rank * q + names.index(sym))
+                    next_seen.append(names)
+                else:
+                    next_relabeled.append(rank * q + len(names))
+                    next_seen.append(names + (sym,))
+                next_reversal.append(sym * weight + rev)
+        relabeled, seen, reversal = next_relabeled, next_seen, next_reversal
+    return [min(r, relabeled[rev]) for r, rev in zip(relabeled, reversal)]
+
+
 def format_qary(x: Qstr, q: int) -> str:
     if q <= 10:
         return "".join(str(sym) for sym in x)

@@ -15,6 +15,8 @@ criterion 05's equivalence grid, which also tests that the cap refuses
 exactly the instances in EXPECTED_EQUIVALENCE_SKIPS.
 """
 
+import hashlib
+import io
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -25,6 +27,8 @@ from delins import cli
 from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
+
+from lcs_reference import lcs_at_least
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -43,6 +47,10 @@ EXPECTED_EQUIVALENCE_SKIPS = {
     (3, 6, 1, 5),
     (3, 6, 2, 4),
 }
+
+# SHA-256 of the CodeCertificate.write text of criterion 07's (2, 8, 1)
+# maximum code, as the search gave it before it had its root orbit rule.
+CRITERION_07_N8_SHA256 = "d23afc6b52a4a04c11adff58a916c600125d07f5cf9c3b1cecad4ac5145d2c82"
 
 
 def _splits(max_s):
@@ -88,7 +96,7 @@ def test_criterion_02_edge_count_sandwich():
                         x = graph.left_string(rank)
                         neighbors = set(graph.neighbors(rank))
                         for yr, y in enumerate(rights):
-                            hit = ch.lcs_at_least(x, y, l)
+                            hit = lcs_at_least(x, y, l)
                             assert hit == (yr in neighbors), (q, l, a, b, x, y)
                             lcs_edges += hit
                     assert lcs_edges == edges
@@ -177,6 +185,10 @@ def test_criterion_07_exact_maximum_matches_best_vt():
         cert = orc.max_code_exact(graph)
         assert cert.exact and cert.verified, n
         results[n] = (cert.size, orc.best_vt_size(n))
+        if n == 8:
+            buf = io.StringIO()
+            cert.write(buf)
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == CRITERION_07_N8_SHA256
     assert results[4][0] == 4  # hand-checked anchor
     for n, (exact, vt_best) in results.items():
         assert exact == vt_best, (n, exact, vt_best)

@@ -263,11 +263,16 @@ class TestCodec:
         assert lines[-1] == "z0=00; left 1 00"
 
     def test_roundtrip_command(self, capsys):
-        code, out, _ = run_cli(
+        # no composition of 5 into 3 parts >= 2: nothing to round-trip
+        code, out, err = run_cli(
             capsys, "codec", "--roundtrip", "--q", "2", "--l", "5", "--a", "1", "--b", "1"
         )
-        assert code == 0
-        assert out == "all 0 parameters round-trip\n"  # no composition of 5 into 3 parts >= 2
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "usage error: no edge parameter exists at q=2 l=5 a=1 b=1, "
+            "so a round trip would check nothing\n"
+        )
         code, out, _ = run_cli(
             capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
         )

@@ -1,5 +1,7 @@
+import hashlib
 import inspect
 import io
+from operator import itemgetter
 
 import pytest
 
@@ -9,6 +11,30 @@ from delins import codec as cdc
 from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
+
+
+# SHA-256 of the CodeCertificate.write text of the exact search, as the
+# search gave it before it had its root orbit rule: the benchmark's seven
+# search rungs, then three small instances.  Pruning may change the node
+# count of a search, never the code it returns.
+CERTIFICATE_SHA256 = {
+    (2, 7, 1): "20108c370b510e55036fd5ee1f47bd254de519ab98da6bba5385585cddf369f8",
+    (2, 9, 2): "98d6df71d6c37fa347582ac6eed90d46d46a1de7dc7eaea36a0d4c32b661fa31",
+    (3, 6, 2): "0ff611b15e218708df29998590a94d353305936889a1c9523a69132ed1153ac4",
+    (4, 5, 2): "60e2d28b82821f6e281c45d13d2ffc8ec1aaf8f27195d0b5fe747f22b453cdb3",
+    (2, 10, 3): "f0f81900fbc9db96500d39751e58941a42fd70247b7831441e5d791fbbea3a4c",
+    (2, 10, 4): "ccd965ba5ee95dd566f6fe2a2a28e3c3512e8032c7b7b3515764ac529dc7df01",
+    (3, 7, 3): "403e323cabd91c7f09f8574302698961e1f69cebacab104b3679cbf8d2c082cc",
+    (2, 5, 1): "19209965cdd70e5fb8e8d4a8c4933f541a6209ef24630a9094ea496a12629c9b",
+    (3, 3, 1): "faecd6d56a44132947dc9aaae66c632c821cc67758686adadbe7b66e3d2c07e9",
+    (2, 5, 2): "12e8679e3cabe4876e37ed132d6805c46ee79f3df73eba8341dc5ede0d6e0321",
+}
+
+
+def certificate_sha256(cert):
+    buf = io.StringIO()
+    cert.write(buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
 class TestConflictGraph:
@@ -63,6 +89,40 @@ class TestConflictGraph:
                     assert list(graph.masks) == expected, (q, n, s)
                     assert list(graph.costs) == [len(d) for d in del_sets], (q, n, s)
 
+    def test_masks_and_costs_commute_with_the_symmetry_generators(self):
+        # the search's root orbit rule rests on this: each generator g of the
+        # group (reversal, the transposition (0 1), the cycle c -> c+1) maps
+        # the conflict graph onto itself, masks[g(v)] == g(masks[v])
+        instances = [
+            (q, n, s)
+            for q, max_n in ((2, 8), (3, 5), (4, 4))
+            for n in range(1, max_n + 1)
+            for s in range(n + 1)
+        ]
+        instances += [(2, 7, 1), (2, 9, 2), (3, 6, 2), (4, 5, 2), (2, 10, 3), (2, 10, 4), (3, 7, 3)]
+        generators = {
+            "reversal": lambda x, q: x[::-1],
+            "transposition": lambda x, q: tuple(1 - c if c < 2 else c for c in x),
+            "cycle": lambda x, q: tuple((c + 1) % q for c in x),
+        }
+        images = {}
+        for q, n, s in instances:
+            graph = orc.build_conflict_graph(q, n, s)
+            size, width = graph.size, f"0{graph.size}b"
+            for name, gen in generators.items():
+                if (q, n, name) not in images:
+                    images[q, n, name] = [qs.rank_of(gen(x, q), q) for x in qs.all_strings(q, n)]
+                image = images[q, n, name]
+                inverse = [0] * size
+                for v, gv in enumerate(image):
+                    inverse[gv] = v
+                # character k of a mask's binary text is rank size-1-k
+                pick = itemgetter(*[size - 1 - inverse[size - 1 - k] for k in range(size)])
+                for v in range(size):
+                    moved = int("".join(pick(format(graph.masks[v], width))), 2)
+                    assert graph.masks[image[v]] == moved, (q, n, s, name, v)
+                    assert graph.costs[image[v]] == graph.costs[v], (q, n, s, name, v)
+
     def test_search_rows_are_conflicts_in_position_order(self):
         for q, n, s in [(2, 5, 1), (2, 6, 2), (3, 3, 1), (3, 4, 2), (4, 3, 1)]:
             graph = orc.build_conflict_graph(q, n, s)
@@ -101,6 +161,18 @@ class TestMaxCodeExact:
         cert = orc.max_code_exact(orc.build_conflict_graph(3, 3, 1))
         assert cert.verified and cert.exact
         assert orc.pairwise_disjoint_deletions(cert.codewords, 1)
+
+    def test_certificates_are_pinned(self):
+        for (q, n, s), digest in CERTIFICATE_SHA256.items():
+            cert = orc.max_code_exact(orc.build_conflict_graph(q, n, s))
+            assert cert.exact and cert.verified, (q, n, s)
+            assert certificate_sha256(cert) == digest, (q, n, s)
+
+    def test_root_orbit_rule_skips_branches(self):
+        # 15,046 nodes without the rule; the code found is pinned above
+        search = orc._CodeSearch(orc.build_conflict_graph(3, 6, 2))
+        search.run(None)
+        assert search.nodes <= 2953
 
     def test_timeout_returns_flagged_lower_bound(self):
         graph = orc.build_conflict_graph(2, 8, 1)

@@ -1,5 +1,5 @@
 import math
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,6 +30,26 @@ class TestRankRoundtrip:
     def test_numeric_order_matches_enumeration(self):
         for rank, x in enumerate(qs.all_strings(3, 4)):
             assert qs.rank_of(x, 3) == rank
+
+
+class TestSymmetryOrbits:
+    @pytest.mark.parametrize("q,max_n", [(2, 7), (3, 5), (4, 4)])
+    def test_ids_are_smallest_rank_over_every_group_element(self, q, max_n):
+        for n in range(max_n + 1):
+            want = []
+            for x in qs.all_strings(q, n):
+                images = [
+                    tuple(perm[c] for c in y)
+                    for perm in permutations(range(q))
+                    for y in (x, x[::-1])
+                ]
+                want.append(min(qs.rank_of(y, q) for y in images))
+            assert qs.symmetry_orbits(q, n) == want, (q, n)
+
+    def test_orbit_counts(self):
+        counts = {(2, 8): 72, (2, 10): 272, (3, 6): 70, (4, 5): 31}
+        for (q, n), count in counts.items():
+            assert len(set(qs.symmetry_orbits(q, n))) == count, (q, n)
 
 
 class TestTextFormat:
