@@ -9,10 +9,11 @@ neighborhood of an input is exactly its channel output set.
 Output sets come in two forms.  insertion_set and channel_output_set build
 sets of tuples and are the reference route of the tests; insertion_ranks
 and output_ranks enumerate base-q ranks without duplicates, and every other
-caller uses them.  conflict_masks groups inputs on shared outputs into one
-conflict row per input.  The s-deletion conflict graph and the channel
-equivalence check both build their relations with it, so channel
-equivalence is equality of the deletion masks and the channel masks.
+caller uses them.  conflict_masks ORs each group of inputs sharing an output
+into their conflict rows.  The inputs sharing a deletion result z are the
+insertion ball of z, so deletion_groups builds no deletion set.  The
+s-deletion conflict graph, the search rows and the channel equivalence
+check all use both, so channel equivalence is equality of masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
 duality at every length l on one LCS/SCS sweep of the pair space.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from typing import IO, Collection, Hashable, Iterable, Iterator
+from typing import IO, Collection, Iterable, Iterator
 
 from delins.errors import CapExceededError
 from delins.qstrings import (
@@ -184,27 +185,28 @@ def output_count_bound(q: int, n: int, a: int, b: int) -> int:
     return min(binomial(n, a) * insertion_count(q, b, n - a + b), q ** (n - a + b))
 
 
-def conflict_masks(outputs: Iterable[Collection[Hashable]]) -> tuple[list[int], list[int]]:
-    """Conflict rows of the inputs, grouping inputs by shared outputs.
+def deletion_groups(q: int, n: int, s: int) -> Iterator[list[int]]:
+    """For each z in [q]^(n-s) in all_strings order, the ranks of the inputs
+    of length n whose s-deletion set holds z, each once: insertion_ranks(z, s, q)."""
+    return (insertion_ranks(z, s, q) for z in all_strings(q, n - s))
 
-    outputs holds one output collection per input, in input order; bit j of
-    row i is set iff inputs i and j share an output.  Each output contributes
-    one group mask, the OR of its inputs' bits, to the row of every input in
-    the group; self bits are cleared at the end.  Returns the rows and each
-    input's output count.
+
+def conflict_masks(size: int, groups: Iterable[Collection[int]]) -> tuple[list[int], list[int]]:
+    """Conflict rows of inputs 0 .. size-1 from the groups that share an output.
+
+    groups holds one member list per shared output, each member once.  Bit j
+    of row i is set iff some group holds both i and j, i != j: each group's
+    mask, the OR of its members' bits, goes into the row of every member, and
+    self bits are cleared at the end.  Returns the rows and, per input, the
+    number of groups that hold it, which is its output count.
     """
-    costs: list[int] = []
-    groups: dict[Hashable, list[int]] = {}
-    for rank, out in enumerate(outputs):
-        costs.append(len(out))
-        for z in out:
-            groups.setdefault(z, []).append(rank)
-    size = len(costs)
     masks = [0] * size
-    for members in groups.values():
+    costs = [0] * size
+    for members in groups:
         group = sum(1 << r for r in members)
         for r in members:
             masks[r] |= group
+            costs[r] += 1
     for r in range(size):
         masks[r] &= ~(1 << r)
     return masks, costs
@@ -246,9 +248,6 @@ class ChannelGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(neigh) for neigh in self.adjacency)
-
-    def degree(self, left_rank: int) -> int:
-        return len(self.adjacency[left_rank])
 
     def neighbors(self, left_rank: int) -> tuple[int, ...]:
         return self.adjacency[left_rank]
@@ -400,8 +399,9 @@ def channel_equivalence_counterexample(
     """Search [q]^n for a pair where the s-deletion conflict relation and the
     (a, b)-channel conflict relation disagree, s = a + b.
 
-    Both relations are built by conflict_masks, so they agree iff the masks
-    are equal.  Returns the first violating pair in all_strings order, or None.
+    Both relations are built by conflict_masks, the channel side from the
+    inputs holding each output rank, so they agree iff the masks are equal.
+    Returns the first violating pair in all_strings order, or None.
     """
     check_alphabet(q)
     s = a + b
@@ -412,8 +412,13 @@ def channel_equivalence_counterexample(
     work = max(q ** n * (output_count_bound(q, n, a, b) + binomial(n, s)), q ** (2 * n))
     if work > cap:
         raise CapExceededError("channel equivalence enumeration", work, cap)
-    deletion_masks, _ = conflict_masks(deletion_set(x, s) for x in all_strings(q, n))
-    channel_masks, _ = conflict_masks(output_ranks(x, a, b, q) for x in all_strings(q, n))
+    size = q ** n
+    deletion_masks, _ = conflict_masks(size, deletion_groups(q, n, s))
+    holders: list[list[int]] = [[] for _ in range(q ** (n - a + b))]
+    for rank, x in enumerate(all_strings(q, n)):
+        for y in output_ranks(x, a, b, q):
+            holders[y].append(rank)
+    channel_masks, _ = conflict_masks(size, holders)
     for i, (mine, theirs) in enumerate(zip(deletion_masks, channel_masks)):
         later = (mine ^ theirs) >> (i + 1)
         if later:

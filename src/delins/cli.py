@@ -138,14 +138,10 @@ def cmd_search(args: argparse.Namespace) -> int:
     print(f"code_size={cert.size} ({kind}, verified={str(cert.verified).lower()})")
     if args.q == 2 and args.s == 1:
         print(f"vt_best={orc.best_vt_size(args.n)}")
-    if args.s <= args.n:
-        lev = bnd.generalized_code_bound(args.q, args.n, args.s, 0)
-        best = bnd.optimal_b(args.q, args.s)
-        gen = bnd.generalized_code_bound(args.q, args.n, args.s - best, best)
-        ins = bnd.insertion_code_bound(args.q, args.n, args.s)
-        print(f"levenshtein_bound={_fraction_text(lev)}")
-        print(f"generalized_bound_at_b={best}: {_fraction_text(gen)}")
-        print(f"insertion_bound={_fraction_text(ins)}")
+    row = bnd.bound_report(args.q, args.n, args.s, bnd.optimal_b(args.q, args.s))
+    print(f"levenshtein_bound={_fraction_text(row.levenshtein)}")
+    print(f"generalized_bound_at_b={row.b}: {_fraction_text(row.generalized)}")
+    print(f"insertion_bound={_fraction_text(row.insertion_bound)}")
     if args.certificate:
         with open(args.certificate, "w", encoding="utf-8") as fp:
             cert.write(fp)

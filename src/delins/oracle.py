@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from operator import itemgetter
 from typing import IO
 
 from delins import bounds as bnd
@@ -49,8 +48,8 @@ class ConflictGraph:
     Vertices are ranks of strings in [q]^n; masks[i] has bit j set iff the
     s-deletion sets of strings i and j intersect.  Irreflexive and symmetric
     as stored.  costs[i] is the size of the s-deletion set of string i.  Both
-    come from channels.conflict_masks, which the channel equivalence check
-    also uses to build the (a, b)-channel masks it compares with these.
+    come from channels.conflict_masks over channels.deletion_groups, which
+    the search and the channel equivalence check also use.
     """
 
     q: int
@@ -76,14 +75,15 @@ class ConflictGraph:
 
 def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> ConflictGraph:
     """Conflict graph via the s-deletion formulation: channels.conflict_masks
-    groups the inputs on shared deletion results."""
+    over the insertion balls of the strings of length n - s, which are the
+    groups of inputs sharing a deletion result."""
     check_alphabet(q)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     size = q ** n
     if size > cap:
         raise CapExceededError("conflict graph vertex enumeration", size, cap)
-    masks, costs = ch.conflict_masks(ch.deletion_set(x, s) for x in all_strings(q, n))
+    masks, costs = ch.conflict_masks(size, ch.deletion_groups(q, n, s))
     return ConflictGraph(q, n, s, tuple(masks), tuple(costs))
 
 
@@ -136,12 +136,13 @@ class _CodeSearch:
     Vertices are relabeled by ascending deletion-set size (then rank), so
     cheap vertices branch first; the sizes are the graph's costs.  Each
     vertex keeps one conflict row in that position order, its own bit
-    excluded, permuted from the graph's rank-order mask in C (one bit string
-    per row through an itemgetter).  Two bounds prune each node: a greedy
-    clique cover of the candidates, and a budget argument specific to this
-    graph family: chosen codewords consume pairwise disjoint deletion sets,
-    so the remaining output-space capacity caps how many candidates can
-    still be added (counting the cheapest candidates, one per clique class).
+    excluded: channels.conflict_masks over the graph's deletion groups,
+    mapped to positions, gives the rows and costs without reading its masks.
+    Two bounds prune each node: a greedy clique cover of the candidates, and
+    a budget argument specific to this graph family: chosen codewords
+    consume pairwise disjoint deletion sets, so the remaining output-space
+    capacity caps how many candidates can still be added (counting the
+    cheapest candidates, one per clique class).
 
     A root orbit rule skips whole root branches.  Reversal and the symbol
     permutations map s-deletion sets onto s-deletion sets, so they are
@@ -160,25 +161,21 @@ class _CodeSearch:
 
     def __init__(self, graph: ConflictGraph):
         size = graph.size
-        costs_by_rank = graph.costs
-        order = sorted(range(size), key=lambda v: (costs_by_rank[v], v))
-        self.graph = graph
+        order = sorted(range(size), key=lambda v: (graph.costs[v], v))
         self.order = order
         self.size = size
         self.full = (1 << size) - 1
-        self.cost = [costs_by_rank[v] for v in order]
-        # character k of a row's size-digit binary text is rank size-1-k;
-        # character k of the relabeled text must be position size-1-k
-        pick = itemgetter(*[size - 1 - order[size - 1 - k] for k in range(size)])
-        width = f"0{size}b"
-        self.conflicts = [
-            int("".join(pick(format(graph.masks[v], width))), 2) for v in order
-        ]
         orbit_of = symmetry_orbits(graph.q, graph.n)
         orbit_bits: dict[int, int] = {}
+        position_of = [0] * size
         for position, v in enumerate(order):
+            position_of[v] = position
             orbit_bits[orbit_of[v]] = orbit_bits.get(orbit_of[v], 0) | 1 << position
         self.mates = [orbit_bits[orbit_of[v]] for v in order]
+        groups = ch.deletion_groups(graph.q, graph.n, graph.s)
+        self.conflicts, self.cost = ch.conflict_masks(
+            size, ([position_of[v] for v in group] for group in groups)
+        )
         self.capacity = graph.q ** (graph.n - graph.s)
         self.best_mask = self._greedy_seed()
         self.best_size = self.best_mask.bit_count()

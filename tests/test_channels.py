@@ -127,8 +127,8 @@ class TestInsertionRanks:
                         assert len(ranks) == qs.insertion_count(q, s, n + s)
 
     def test_output_ranks_match_channel_output_set(self):
-        # and the grouping on the channel side: conflict_masks over the ranks
-        # equals pairwise isdisjoint over the tuple sets
+        # and the grouping on the channel side: conflict_masks over the inputs
+        # holding each output rank equals pairwise isdisjoint over the tuple sets
         for q, max_n in ((2, 5), (3, 4)):
             for n in range(max_n + 1):
                 strings = list(qs.all_strings(q, n))
@@ -146,7 +146,11 @@ class TestInsertionRanks:
                             )
                             for i, mine in enumerate(outs)
                         ]
-                        masks, costs = ch.conflict_masks(ranks)
+                        holders = [[] for _ in range(q ** (n - 2 * a + s))]
+                        for i, got in enumerate(ranks):
+                            for y in got:
+                                holders[y].append(i)
+                        masks, costs = ch.conflict_masks(len(strings), holders)
                         assert masks == expected, (q, n, a)
                         assert costs == [len(out) for out in outs], (q, n, a)
 
@@ -389,7 +393,23 @@ class TestChannelEquivalence:
 
 class TestConflictMasks:
     def test_examples(self):
-        masks, costs = ch.conflict_masks([{1, 2}, {3}, {2, 4}, set()])
+        # inputs 0..3 with outputs {1, 2}, {3}, {2, 4}, {}: one group per output
+        masks, costs = ch.conflict_masks(4, [[0], [0, 2], [1], [2]])
         assert masks == [0b100, 0, 0b1, 0]
         assert costs == [2, 1, 2, 0]
-        assert ch.conflict_masks([]) == ([], [])
+        assert ch.conflict_masks(0, []) == ([], [])
+
+    def test_deletion_groups_are_the_inputs_sharing_each_deletion_result(self):
+        for q, max_n in ((2, 6), (3, 4), (4, 3)):
+            for n in range(max_n + 1):
+                strings = list(qs.all_strings(q, n))
+                for s in range(n + 1):
+                    groups = list(ch.deletion_groups(q, n, s))
+                    shorter = list(qs.all_strings(q, n - s))
+                    assert len(groups) == len(shorter), (q, n, s)
+                    for z, group in zip(shorter, groups):
+                        assert len(set(group)) == len(group), (q, n, s, z)
+                        expected = {
+                            rank for rank, x in enumerate(strings) if z in ch.deletion_set(x, s)
+                        }
+                        assert set(group) == expected, (q, n, s, z)

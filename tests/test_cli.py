@@ -208,6 +208,20 @@ class TestSearch:
         assert "code_size=4 (maximum" in out
         assert "vt_best=4" in out
 
+    def test_full_stdout(self, capsys):
+        expected = {
+            ("2", "6", "1"): "q=2 n=6 s=1\ncode_size=10 (maximum, verified=true)\nvt_best=10\n"
+            "levenshtein_bound=32/3 (10.6667)\ngeneralized_bound_at_b=0: 32/3 (10.6667)\n"
+            "insertion_bound=64/3 (21.3333)\n",
+            ("3", "4", "2"): "q=3 n=4 s=2\ncode_size=3 (maximum, verified=true)\n"
+            "levenshtein_bound=27/8 (3.375)\ngeneralized_bound_at_b=0: 27/8 (3.375)\n"
+            "insertion_bound=243/8 (30.375)\n",
+        }
+        for (q, n, s), text in expected.items():
+            code, out, _ = run_cli(capsys, "search", "--q", q, "--n", n, "--s", s)
+            assert code == 0
+            assert out == text
+
     def test_zero_errors(self, capsys):
         code, out, _ = run_cli(capsys, "search", "--q", "2", "--n", "5", "--s", "0")
         assert code == 0

@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from delins import channels as ch
 from delins import codec as cdc
+from delins import oracle as orc
 from delins import qstrings as qs
 from delins.codec import LEFT, RIGHT, EdgeParameter, InsertTriple
 from delins.errors import CapExceededError
@@ -113,29 +114,19 @@ class TestDeleteStep:
             cdc.delete_step((), (0,), 2)
 
     @pytest.mark.parametrize(
-        "q,interval_lengths,suffix_lengths",
-        [(2, range(2, 7), range(1, 4)), (3, range(2, 4), range(1, 3))],
+        "q,suffix_length,caps,instances",
+        [
+            (2, 3, orc.VerifyCaps(max_n=6, interval_length=6), 22572),
+            (3, 2, orc.VerifyCaps(max_n=3, interval_length=3), 9312),
+        ],
     )
-    def test_inversion_exhaustive(self, q, interval_lengths, suffix_lengths):
+    def test_inversion_exhaustive(self, monkeypatch, q, suffix_length, caps, instances):
         # every non-alternating interval, both sides, all offsets, suffix pairs
         # with differing heads plus the both-empty pair
-        suffixes = [()]
-        for n in suffix_lengths:
-            suffixes.extend(qs.all_strings(q, n))
-        pairs = [
-            (u, v)
-            for u in suffixes
-            for v in suffixes
-            if (not u and not v) or (u and v and u[0] != v[0])
-        ]
-        for length in interval_lengths:
-            for w in qs.non_alternating_strings(q, length):
-                for side in (LEFT, RIGHT):
-                    for offset in range(1, q):
-                        triple = InsertTriple(side, offset, w)
-                        x, y = cdc.insert_step(triple, q)
-                        for u, v in pairs:
-                            assert cdc.delete_step(x + u, y + v, q) == (triple, u, v)
+        monkeypatch.setattr(orc, "SUFFIX_LENGTH", suffix_length)
+        result = orc.run_check("insert_delete", q, caps)
+        assert result.passed, result.counterexample
+        assert result.instances == instances
 
 
 def _slicing_delete_step(x, y, q):

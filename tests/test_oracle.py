@@ -134,6 +134,17 @@ class TestConflictGraph:
                     if j != i:
                         assert bool(row >> j & 1) == graph.conflicts(order[i], order[j])
 
+    def test_build_and_search_rows_build_no_deletion_set(self, monkeypatch):
+        # both take their groups from the insertion balls of the shorter strings
+        def refuse(x, s):
+            raise AssertionError("deletion_set called")
+
+        monkeypatch.setattr(ch, "deletion_set", refuse)
+        graph = orc.build_conflict_graph(2, 6, 2)
+        search = orc._CodeSearch(graph)
+        assert graph.conflict_count > 0
+        assert search.size == graph.size
+
 
 class TestMaxCodeExact:
     def test_four_word_anchor(self):
