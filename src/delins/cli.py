@@ -280,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except VerificationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be opened
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as exc:

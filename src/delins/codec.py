@@ -71,18 +71,6 @@ class EdgeParameter(NamedTuple):
             for side, offset, interval in zip(self.gap_sides, self.offsets, self.intervals[1:])
         )
 
-    @property
-    def total_length(self) -> int:
-        return sum(len(w) for w in self.intervals)
-
-    @classmethod
-    def from_construction(cls, z0: Qstr, triples: tuple[InsertTriple, ...]) -> "EdgeParameter":
-        return cls(
-            gap_sides=tuple(t.side for t in triples),
-            offsets=tuple(t.offset for t in triples),
-            intervals=(tuple(z0),) + tuple(tuple(t.interval) for t in triples),
-        )
-
 
 def insert_step(triple: InsertTriple, q: int) -> tuple[Qstr, Qstr]:
     """Prepend (offset + head) mod q to the interval on the chosen side.
@@ -135,14 +123,15 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
     Matches after dropping the head of x and after dropping the head of y;
     the longer match identifies the inserted symbol's side and the interval.
     Equal match lengths raise AmbiguousDeletionError.  Both match lengths are
-    counted in place and only the winning side is sliced.
+    counted in place; only the winning side is sliced and has its offset
+    computed.
     """
     check_alphabet(q)
     if not x or not y:
         raise ValueError("delete step needs two nonempty strings")
-    if x[0] == y[0]:
+    x0, y0 = x[0], y[0]
+    if x0 == y0:
         raise ValueError("delete step needs strings with different first symbols")
-    gap = (x[0] - y[0]) % q
     nx, ny = len(x), len(y)
     end = ny if ny < nx else nx - 1  # min(nx - 1, ny), without a call
     left = 0  # common prefix length of x[1:] and y
@@ -154,11 +143,12 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
         right += 1
     if left == right:
         raise AmbiguousDeletionError(f"matches of equal length {left} deleting either head")
+    # tuple.__new__ builds the InsertTriple without its Python-level __new__
     if left > right:
-        return InsertTriple(LEFT, gap, tuple(x[1:left + 1])), tuple(x[left + 1:]), tuple(y[left:])
-    return (
-        InsertTriple(RIGHT, (-gap) % q, tuple(x[:right])), tuple(x[right:]), tuple(y[right + 1:])
-    )
+        triple = tuple.__new__(InsertTriple, (LEFT, (x0 - y0) % q, tuple(x[1:left + 1])))
+        return triple, tuple(x[left + 1:]), tuple(y[left:])
+    triple = tuple.__new__(InsertTriple, (RIGHT, (y0 - x0) % q, tuple(x[:right])))
+    return triple, tuple(x[right:]), tuple(y[right + 1:])
 
 
 def deconstruct(
@@ -242,18 +232,28 @@ def roundtrip_counterexample(
 ) -> tuple[int, tuple[Qstr, Qstr] | None]:
     """Construct the edge of every parameter of (q, l, a, b) and deconstruct it.
 
-    Returns (parameters checked, None) when every edge gives back its own
-    parameter; otherwise the count up to and including the first edge (x, y),
-    in enumerate_parameters order, that does not, and that edge.
+    Each distinct (side, offset, interval) insert step is built once per call
+    and reused.  Returns (parameters checked, None) when every edge gives back
+    its own parameter; otherwise the count up to and including the first edge
+    (x, y), in enumerate_parameters order, that does not, and that edge.
     """
     count = 0
-    for param in enumerate_parameters(q, l, a, b, cap):
+    steps: dict[tuple[str, int, Qstr], tuple[Qstr, Qstr]] = {}  # insert_step memo
+    for sides, offsets, intervals in enumerate_parameters(q, l, a, b, cap):
         count += 1
-        x, y = construct_edge(param, q)
+        keys = tuple(zip(sides, offsets, intervals[1:]))
+        x = y = intervals[0]
+        for key in keys:
+            step = steps.get(key)
+            if step is None:
+                step = steps[key] = insert_step(InsertTriple(*key), q)
+            x += step[0]
+            y += step[1]
         try:
-            z0, triples = deconstruct(x, y, q)
+            got = deconstruct(x, y, q)
         except NotDeconstructableError:
             return count, (x, y)
-        if EdgeParameter.from_construction(z0, triples) != param:
+        # an InsertTriple compares equal to its plain (side, offset, interval) key
+        if got != (intervals[0], keys):
             return count, (x, y)
     return count, None

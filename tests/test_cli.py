@@ -312,6 +312,45 @@ class TestCodec:
         assert code == 0
         assert out.strip() == "x=00100 y=0000"
 
+    @pytest.mark.parametrize(
+        "text,err",
+        [
+            ("z0 00\nleft 0 00\n", "usage error: offset must be in [1, 1], got 0\n"),
+            ("z0 00\nleft 1\n", "usage error: bad triple line: 'left 1' "
+             "(want 'left|right offset interval')\n"),
+        ],
+    )
+    def test_construct_rejects_a_bad_parameter_file(self, capsys, tmp_path, text, err):
+        path = tmp_path / "params.txt"
+        path.write_text(text)
+        assert run_cli(capsys, "codec", "--construct", str(path)) == (2, "", err)
+
     def test_codec_without_action_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "codec")
         assert code == 2
+
+
+class TestUnopenablePath:
+    """A path the tool cannot open is a usage error, not a traceback."""
+
+    def test_codec_construct_missing_file(self, capsys, tmp_path):
+        path = tmp_path / "missing"
+        code, out, err = run_cli(capsys, "codec", "--construct", str(path), "--q", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and str(path) in err
+
+    def test_search_certificate_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "nodir" / "x.code"
+        code, _, err = run_cli(
+            capsys, "search", "--q", "2", "--n", "4", "--s", "1", "--certificate", str(path)
+        )
+        assert code == 2
+        assert err.startswith("usage error: ") and str(path) in err
+
+    def test_graph_export_in_missing_directory(self, capsys, tmp_path):
+        path = tmp_path / "nodir" / "e.txt"
+        code, _, err = run_cli(
+            capsys, "graph", "--q", "2", "--l", "1", "--a", "1", "--b", "0", "--export", str(path)
+        )
+        assert code == 2
+        assert err.startswith("usage error: ") and str(path) in err

@@ -179,6 +179,24 @@ class TestDeleteStepMatchesSlicingReference:
                 want = _outcome(_slicing_delete_step, x, y, 2)
                 assert _outcome(cdc.delete_step, list(x), list(y), 2) == want, (x, y)
 
+    @pytest.mark.parametrize("q,max_len", [(2, 6), (3, 4)])
+    def test_triple_is_an_insert_triple_with_its_fields(self, q, max_len):
+        strings = [s for n in range(max_len + 1) for s in qs.all_strings(q, n)]
+        checked = 0
+        for x in strings:
+            for y in strings:
+                try:
+                    want = _slicing_delete_step(x, y, q)[0]
+                except ValueError:
+                    continue
+                triple = cdc.delete_step(x, y, q)[0]
+                assert type(triple) is InsertTriple
+                assert (triple.side, triple.offset, triple.interval) == (
+                    want.side, want.offset, want.interval
+                ), (x, y)
+                checked += 1
+        assert checked > 0
+
     def test_alphabet_is_checked_first(self):
         with pytest.raises(ValueError, match="alphabet size"):
             cdc.delete_step((), (), 1)
@@ -231,7 +249,7 @@ class TestEnumerateParameters:
                 assert sum(1 for side in p.gap_sides if side == RIGHT) == b
                 assert all(1 <= off <= q - 1 for off in p.offsets)
                 assert all(not qs.is_alternating(w) for w in p.intervals)
-                assert p.total_length == l
+                assert sum(len(w) for w in p.intervals) == l
             assert len(seen) == cdc.parameter_count(q, l, a, b)
 
     def test_deterministic_stream_prefix(self):
@@ -282,3 +300,32 @@ class TestRoundTrip:
         for q, l, a, b in [(2, 5, 1, 1), (3, 4, 1, 0)]:
             edges = {cdc.construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)}
             assert len(edges) == cdc.parameter_count(q, l, a, b)
+
+    @pytest.mark.parametrize(
+        "q,l,a,b", [(2, 6, 1, 1), (3, 6, 1, 1), (2, 7, 2, 0), (2, 8, 1, 2), (4, 4, 1, 0)]
+    )
+    def test_deconstruct_gets_each_constructed_edge_once(self, monkeypatch, q, l, a, b):
+        seen = []
+        deconstruct = cdc.deconstruct
+
+        def recorder(x, y, q):
+            seen.append((x, y))
+            return deconstruct(x, y, q)
+
+        monkeypatch.setattr(cdc, "deconstruct", recorder)
+        count, failure = cdc.roundtrip_counterexample(q, l, a, b)
+        assert failure is None
+        assert seen == [cdc.construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)]
+        assert count == len(seen) == cdc.parameter_count(q, l, a, b) > 0
+
+    def test_insert_steps_come_from_insert_step(self, monkeypatch):
+        insert_step = cdc.insert_step
+
+        def wrong_side_for_offset_one(triple, q):
+            u, v = insert_step(triple, q)
+            return (v, u) if triple.offset == 1 else (u, v)
+
+        monkeypatch.setattr(cdc, "insert_step", wrong_side_for_offset_one)
+        first = next(cdc.enumerate_parameters(3, 6, 1, 1))
+        assert first.offsets == (1, 1)
+        assert cdc.roundtrip_counterexample(3, 6, 1, 1) == (1, cdc.construct_edge(first, 3))
