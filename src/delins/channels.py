@@ -9,9 +9,12 @@ neighborhood of an input is exactly its channel output set.
 Output sets come in two forms.  insertion_set and channel_output_set build
 sets of tuples and are the reference route of the tests; insertion_ranks
 and output_ranks enumerate base-q ranks without duplicates, and every other
-caller uses them.  conflict_masks ORs each group of inputs sharing an output
-into their conflict rows.  The inputs sharing a deletion result z are the
-insertion ball of z, so deletion_groups builds no deletion set.  The
+caller uses them; output_ranks reaches each deletion result by one deletion
+per run at a time.  degree_histogram counts the graph's degrees from one
+output set per orbit representative, so only an export builds the graph.
+conflict_masks ORs each group of inputs sharing an output into their
+conflict rows.  The inputs sharing a deletion result z are the insertion
+ball of z, so deletion_groups builds no deletion set.  The
 s-deletion conflict graph, the search rows and the channel equivalence
 check all use both, so channel equivalence is equality of masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
@@ -20,8 +23,8 @@ duality at every length l on one LCS/SCS sweep of the pair space.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from typing import IO, Collection, Iterable, Iterator
@@ -34,6 +37,7 @@ from delins.qstrings import (
     check_alphabet,
     format_qary,
     insertion_count,
+    orbit_representatives,
     rank_of,
     string_of,
 )
@@ -155,6 +159,20 @@ def insertion_ranks(x: Qstr, s: int, q: int) -> list[int]:
     return out
 
 
+def _deletion_results(x: Qstr, a: int) -> set[Qstr]:
+    """deletion_set(x, a), built as a rounds of one deletion per run.
+
+    Deleting any symbol of a run gives the same string, so deleting the first
+    symbol of each run gives every one-deletion result once; the set removes
+    what two rounds reach by different paths."""
+    level = {x}
+    for _ in range(a):
+        level = {
+            z[:i] + z[i + 1:] for z in level for i in range(len(z)) if i == 0 or z[i] != z[i - 1]
+        }
+    return level
+
+
 def output_ranks(x: Qstr, a: int, b: int, q: int) -> set[int]:
     """Base-q ranks of channel_output_set(x, a, b, q): the union of
     insertion_ranks over the a-deletion results of x."""
@@ -162,7 +180,7 @@ def output_ranks(x: Qstr, a: int, b: int, q: int) -> set[int]:
     if not 0 <= a <= len(x):
         raise ValueError(f"cannot delete {a} symbols from a string of length {len(x)}")
     out: set[int] = set()
-    for z in deletion_set(x, a):
+    for z in _deletion_results(x, a):
         out.update(insertion_ranks(z, b, q))
     return out
 
@@ -264,9 +282,8 @@ class ChannelGraph:
             for right_rank in neigh:
                 yield x, self.right_string(right_rank)
 
-    def degree_stats(self) -> tuple[int, Fraction, int]:
-        degrees = [len(neigh) for neigh in self.adjacency]
-        return min(degrees), Fraction(sum(degrees), len(degrees)), max(degrees)
+    def degree_histogram(self) -> Counter[int]:
+        return Counter(len(neigh) for neigh in self.adjacency)
 
     def write_edge_list(self, fp: IO[str]) -> None:
         """A `q l a b` header, then one `x y` line per edge in edges() order.
@@ -282,6 +299,32 @@ class ChannelGraph:
             fp.write("".join([f"{head} {right_text[r]}\n" for r in neigh]))
 
 
+def _check_graph_size(q: int, l: int, a: int, b: int, cap: int) -> None:
+    check_alphabet(q)
+    if l < 0 or a < 0 or b < 0:
+        raise ValueError("graph parameters must be nonnegative")
+    vertices = q ** (l + a) + q ** (l + b)
+    if vertices > cap:
+        raise CapExceededError("channel graph vertex enumeration", vertices, cap)
+
+
+def degree_histogram(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Counter[int]:
+    """Left vertices of the channel graph per degree, without building it.
+
+    The degree of x is |output_ranks(x, a, b, q)|.  Reversal and the symbol
+    permutations commute with deletion and insertion, so orbit mates have
+    equal degrees: one output_ranks call per orbit representative, counted
+    with its orbit size.  The cap check is build_channel_graph's.
+    """
+    _check_graph_size(q, l, a, b, cap)
+    histogram: Counter[int] = Counter()
+    for x, size in orbit_representatives(q, l + a):
+        # with no insertion the outputs are the deletion results themselves
+        degree = len(_deletion_results(x, a)) if b == 0 else len(output_ranks(x, a, b, q))
+        histogram[degree] += size
+    return histogram
+
+
 def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> ChannelGraph:
     """Build the explicit channel graph by grouping over common subsequences.
 
@@ -292,15 +335,9 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
     contains; the second builds one neighbour set at a time, so only the
     sorted tuples stay alive.
     """
-    check_alphabet(q)
-    if l < 0 or a < 0 or b < 0:
-        raise ValueError("graph parameters must be nonnegative")
-    left_size = q ** (l + a)
-    right_size = q ** (l + b)
-    if left_size + right_size > cap:
-        raise CapExceededError("channel graph vertex enumeration", left_size + right_size, cap)
+    _check_graph_size(q, l, a, b, cap)
     right_ranks: list[list[int]] = []
-    contained: list[list[int]] = [[] for _ in range(left_size)]
+    contained: list[list[int]] = [[] for _ in range(q ** (l + a))]
     for index, z in enumerate(all_strings(q, l)):
         right_ranks.append(insertion_ranks(z, b, q))
         for x_rank in insertion_ranks(z, a, q):

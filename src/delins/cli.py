@@ -111,19 +111,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
-    graph = ch.build_channel_graph(args.q, args.l, args.a, args.b, args.cap)
-    constructable, edges, upper = orc.edge_sandwich(graph)
-    dmin, davg, dmax = graph.degree_stats()
-    print(f"q={args.q} l={args.l} a={args.a} b={args.b}")
-    print(f"left={graph.left_size} right={graph.right_size}")
+    q, l, a, b = args.q, args.l, args.a, args.b
+    histogram = ch.degree_histogram(q, l, a, b, args.cap)
+    graph = None
+    if args.export:
+        # the built adjacency is the second route to the same degrees
+        graph = ch.build_channel_graph(q, l, a, b, args.cap)
+        if graph.degree_histogram() != histogram:
+            raise VerificationError(
+                f"q={q} l={l} a={a} b={b}: the built graph's degree histogram differs "
+                "from the one counted over orbit representatives"
+            )
+    left = sum(histogram.values())
+    edges = sum(degree * count for degree, count in histogram.items())
+    constructable, edges, upper = orc.edge_sandwich(q, l, a, b, edges)
+    print(f"q={q} l={l} a={a} b={b}")
+    print(f"left={left} right={q ** (l + b)}")
     print(f"edges={edges}")
     print(f"constructable={constructable}")
     print(f"upper={upper}")
     print(f"sandwich={'ok' if constructable <= edges <= upper else 'VIOLATED'}")
+    dmin, davg, dmax = min(histogram), Fraction(edges, left), max(histogram)
     print(f"degree_min={dmin} degree_avg={_fraction_text(davg)} degree_max={dmax}")
     ratio = Fraction(constructable, edges) if edges else Fraction(0)
     print(f"constructable_ratio={_fraction_text(ratio)}")
-    if args.export:
+    if graph is not None:
         with open(args.export, "w", encoding="utf-8") as fp:
             graph.write_edge_list(fp)
         print(f"edge list written to {args.export}")

@@ -31,6 +31,7 @@ from delins.qstrings import (
     check_alphabet,
     format_qary,
     non_alternating_strings,
+    orbit_representatives,
     string_of,
     string_stats,
     symmetry_orbits,
@@ -311,7 +312,9 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
     each reach at least min-degree many outputs, so at most
     outputs / min-degree of them fit in a code; every atypical input is
     counted in full.  All quantities are exact, so unlike the asymptotic
-    formula values this is a true bound at this n.
+    formula values this is a true bound at this n.  Run counts, alternating
+    intervals and output counts are invariant under reversal and symbol
+    permutations, so the minimum is taken over orbit representatives only.
     """
     split = bnd.typicality_split(q, n, a, b, cap)
     if split.typical is None:
@@ -320,7 +323,7 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
     if split.typical == 0:
         return q ** n
     min_degree: int | None = None
-    for x in all_strings(q, n):
+    for x, _ in orbit_representatives(q, n):
         stats = string_stats(x)
         if stats.longest_alternating >= split.alt_cutoff or stats.runs <= split.run_cutoff:
             continue
@@ -415,11 +418,11 @@ def _check_channel_equivalence(q: int, caps: VerifyCaps) -> tuple[int, str | Non
     return instances, None
 
 
-def edge_sandwich(graph: ch.ChannelGraph) -> tuple[int, int, int]:
-    """(constructable count, exact edge count, upper bound) of a built channel
-    graph; the claim is that they come in ascending order."""
-    q, l, a, b = graph.q, graph.l, graph.a, graph.b
-    return cdc.parameter_count(q, l, a, b), graph.edge_count, bnd.edge_count_upper(q, l, a, b)
+def edge_sandwich(q: int, l: int, a: int, b: int, edges: int) -> tuple[int, int, int]:
+    """(constructable count, exact edge count, upper bound) of the channel
+    graph (q, l, a, b) with `edges` edges; the claim is that they come in
+    ascending order."""
+    return cdc.parameter_count(q, l, a, b), edges, bnd.edge_count_upper(q, l, a, b)
 
 
 def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
@@ -428,7 +431,7 @@ def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     for l in range(1, limit + 1):
         for a, b in _splits(caps.max_s):
             graph = ch.build_channel_graph(q, l, a, b, caps.cap)
-            constructable, edges, upper = edge_sandwich(graph)
+            constructable, edges, upper = edge_sandwich(q, l, a, b, graph.edge_count)
             instances += 1
             if not constructable <= edges <= upper:
                 return instances, (

@@ -10,6 +10,7 @@ by the CLI and fixtures is digit concatenation for q <= 10 ("0211" for
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
@@ -86,6 +87,15 @@ def symmetry_orbits(q: int, n: int) -> list[int]:
                 next_reversal.append(sym * weight + rev)
         relabeled, seen, reversal = next_relabeled, next_seen, next_reversal
     return [min(r, relabeled[rev]) for r, rev in zip(relabeled, reversal)]
+
+
+def orbit_representatives(q: int, n: int) -> list[tuple[Qstr, int]]:
+    """(smallest string, orbit size) of every orbit of symmetry_orbits(q, n),
+    in rank order: a statistic invariant under the group, summed over these
+    with the sizes as weights, is its sum over [q]^n."""
+    # an orbit id is first met at its own rank, so the counts come in rank order
+    sizes = Counter(symmetry_orbits(q, n))
+    return [(string_of(r, q, n), size) for r, size in sizes.items()]
 
 
 def format_qary(x: Qstr, q: int) -> str:

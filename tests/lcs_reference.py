@@ -1,40 +1,47 @@
 """Reference routes to LCS and SCS questions, used only by the tests.
 
-Each answers from its own dynamic-programming table, independently of the
-LCS/SCS sweep and the rank enumerators in delins.channels, so the tests can
-compare those against them.
+Each answers by its own method, independently of the LCS/SCS sweep and the
+rank enumerators in delins.channels, so the tests can compare those against
+them: lcs_at_least by bit-parallel bit vectors, scs_length by its own
+dynamic-programming table.
 """
+
+from functools import lru_cache
 
 from delins.qstrings import Qstr
 
 
+@lru_cache(maxsize=1)
+def _match_masks(x: Qstr) -> dict[int, int]:
+    """Bit i of masks[c] is set iff x[i] == c."""
+    masks: dict[int, int] = {}
+    for i, c in enumerate(x):
+        masks[c] = masks.get(c, 0) | 1 << i
+    return masks
+
+
 def lcs_at_least(x: Qstr, y: Qstr, l: int) -> bool:
-    """Decide lcs_length(x, y) >= l, abandoning rows that cannot reach l."""
-    m, n = len(x), len(y)
+    """Decide lcs_length(x, y) >= l with the bit-parallel LCS of Allison and
+    Dix (1986) in the form of Hyyro (2004).
+
+    For the prefix p of y read so far, bit i of v is clear iff
+    LCS(x[:i+1], p) exceeds LCS(x[:i], p), so the LCS is the number of clear
+    bits among the low len(x).  With u = v & masks[c], reading the next
+    symbol c of y is v = (v + u) | (v - u).  The masks of the last x are
+    kept, so a scan over many y for one x builds them once.
+    """
+    m = len(x)
     if l <= 0:
         return True
-    if l > m or l > n:
+    if l > m or l > len(y):
         return False
-    prev = [0] * (n + 1)
-    for i, xi in enumerate(x):
-        cur = [0] * (n + 1)
-        row_best = 0
-        for j, yj in enumerate(y):
-            if xi == yj:
-                v = prev[j] + 1
-            else:
-                a, b = cur[j], prev[j + 1]
-                v = a if a >= b else b
-            cur[j + 1] = v
-            if v > row_best:
-                row_best = v
-        if row_best >= l:
-            return True
-        # each remaining row can add at most one matched symbol
-        if row_best + (m - 1 - i) < l:
-            return False
-        prev = cur
-    return False
+    masks = _match_masks(tuple(x))
+    full = (1 << m) - 1
+    v = full
+    for c in y:
+        u = v & masks.get(c, 0)
+        v = ((v + u) | (v - u)) & full
+    return m - v.bit_count() >= l
 
 
 def scs_length(x: Qstr, y: Qstr) -> int:

@@ -9,7 +9,8 @@ through the oracle's claim registry (`oracle.run_check`) at larger grids, so
 each of those loops exists once.  Three loops here are not copies of a
 registered claim and stay: criterion 02's per-input `channel_output_set`
 route and its pairwise `lcs_at_least` route, which are independent second
-routes to the edge count; criterion 03, which counts outputs through
+routes to the edge count (its third route, the orbit-representative degree
+histogram that `delins graph` prints from, must equal the built graph's); criterion 03, which counts outputs through
 `channel_output_set` where the registered check uses `output_ranks`; and
 criterion 05's equivalence grid, which also tests that the cap refuses
 exactly the instances in EXPECTED_EQUIVALENCE_SKIPS.
@@ -80,8 +81,12 @@ def test_criterion_02_edge_count_sandwich():
         for l in range(1, 9):
             for a, b in _splits(2):
                 graph = ch.build_channel_graph(q, l, a, b)
-                constructable, edges, upper = orc.edge_sandwich(graph)
+                constructable, edges, upper = orc.edge_sandwich(q, l, a, b, graph.edge_count)
                 assert constructable <= edges <= upper, (q, l, a, b)
+                # the route of `delins graph`: one output count per orbit
+                # representative, weighted by the orbit size
+                histogram = ch.degree_histogram(q, l, a, b)
+                assert histogram == graph.degree_histogram(), (q, l, a, b)
                 # independent exact route: per-input output sets
                 degree_sum = sum(
                     len(ch.channel_output_set(x, a, b, q))

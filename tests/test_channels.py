@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -53,6 +54,15 @@ class TestLcsScs:
     def test_lcs_at_least_agrees_with_full_table(self, pair, l):
         x, y = pair
         assert lcs_at_least(x, y, l) == (ch.lcs_length(x, y) >= l)
+
+    @pytest.mark.parametrize("q,max_len", [(2, 6), (3, 4)])
+    def test_bit_parallel_lcs_at_least_on_every_pair(self, q, max_len):
+        strings = [x for n in range(max_len + 1) for x in qs.all_strings(q, n)]
+        for x in strings:
+            for y in strings:
+                lcs = ch.lcs_length(x, y)
+                for l in range(max_len + 2):
+                    assert lcs_at_least(x, y, l) == (lcs >= l), (x, y, l)
 
     def test_scs_against_breadth_first_oracle(self):
         # smallest supersequence length found by trying every length upward
@@ -154,9 +164,63 @@ class TestInsertionRanks:
                         assert masks == expected, (q, n, a)
                         assert costs == [len(out) for out in outs], (q, n, a)
 
+    def test_output_ranks_match_channel_output_set_up_to_four_deletions(self):
+        for q, max_n in ((2, 7), (3, 5), (4, 4)):
+            for n in range(max_n + 1):
+                for x in qs.all_strings(q, n):
+                    for a in range(min(4, n) + 1):
+                        for b in range(3 - (q > 2)):
+                            expected = {qs.rank_of(y, q) for y in ch.channel_output_set(x, a, b, q)}
+                            assert ch.output_ranks(x, a, b, q) == expected, (q, x, a, b)
+
+    def test_output_ranks_build_no_deletion_set(self, monkeypatch):
+        cases = [((0, 1, 1, 0, 2, 2, 1), a, b) for a in range(4) for b in range(2)]
+        expected = [ch.output_ranks(x, a, b, 3) for x, a, b in cases]
+
+        def refuse(x, s):
+            raise AssertionError("deletion_set called")
+
+        monkeypatch.setattr(ch, "deletion_set", refuse)
+        assert [ch.output_ranks(x, a, b, 3) for x, a, b in cases] == expected
+
     def test_output_ranks_rejects_overlong_deletion(self):
         with pytest.raises(ValueError):
             ch.output_ranks((0,), 2, 0, 2)
+
+
+class TestOrbitDegrees:
+    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
+    def test_output_counts_are_constant_on_every_orbit(self, q, max_n):
+        # degree_histogram and the packing bound count orbit representatives only
+        for n in range(max_n + 1):
+            orbit_of = qs.symmetry_orbits(q, n)
+            strings = list(qs.all_strings(q, n))
+            for s in range(3):
+                for a in range(min(s, n) + 1):
+                    counts = [len(ch.output_ranks(x, a, s - a, q)) for x in strings]
+                    for rank, orbit in enumerate(orbit_of):
+                        assert counts[rank] == counts[orbit], (q, n, a, s - a, rank)
+
+    def test_histogram_counts_every_input_by_its_output_count(self):
+        for q, l, a, b in [(2, 5, 2, 0), (2, 4, 1, 1), (3, 3, 0, 2), (3, 2, 2, 1), (2, 0, 2, 1)]:
+            want = Counter(
+                len(ch.channel_output_set(x, a, b, q)) for x in qs.all_strings(q, l + a)
+            )
+            assert ch.degree_histogram(q, l, a, b) == want, (q, l, a, b)
+            assert ch.build_channel_graph(q, l, a, b).degree_histogram() == want, (q, l, a, b)
+
+    def test_histogram_cap_and_arguments_checked_before_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(ch, "orbit_representatives", refuse)
+        with pytest.raises(CapExceededError) as err:
+            ch.degree_histogram(2, 30, 1, 1, cap=1 << 10)
+        assert err.value.required == 2 ** 31 + 2 ** 31
+        with pytest.raises(ValueError, match="nonnegative"):
+            ch.degree_histogram(2, 3, -1, 0)
+        with pytest.raises(ValueError, match="alphabet"):
+            ch.degree_histogram(1, 3, 1, 0)
 
 
 class TestChannelOutputSet:
@@ -232,10 +296,10 @@ class TestChannelGraph:
             assert (x[::-1], y[::-1]) in edges
 
     def test_degree_stats(self):
+        # inputs 00 and 11 reach one output, 01 and 10 reach two
         graph = ch.build_channel_graph(2, 1, 1, 0)
-        dmin, davg, dmax = graph.degree_stats()
-        assert (dmin, dmax) == (1, 2)
-        assert davg == 1.5
+        assert graph.degree_histogram() == {1: 2, 2: 2}
+        assert ch.degree_histogram(2, 1, 1, 0) == {1: 2, 2: 2}
 
     def test_cap_error_names_requirement(self):
         with pytest.raises(CapExceededError) as err:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from delins import channels as ch
 from delins import cli
 
 
@@ -199,6 +200,82 @@ class TestGraph:
     def test_cap_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "graph", "--q", "2", "--l", "30", "--a", "1", "--b", "1")
         assert code == 3
+
+    def test_cap_exit_three_before_any_enumeration(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated past the cap")
+
+        for name in ("orbit_representatives", "output_ranks", "all_strings", "insertion_ranks"):
+            monkeypatch.setattr(ch, name, refuse)
+        code, out, err = run_cli(capsys, "graph", "--q", "2", "--l", "30", "--a", "1", "--b", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: channel graph vertex enumeration")
+
+    # stdout that the full-graph route prints; the orbit route must match it
+    FULL_STDOUT = {
+        ("3", "4", "1", "1"): (
+            "q=3 l=4 a=1 b=1\nleft=243 right=243\nedges=8301\nconstructable=0\n"
+            "upper=9801\nsandwich=ok\ndegree_min=11 degree_avg=2767/81 (34.1605) "
+            "degree_max=47\nconstructable_ratio=0/1 (0)\n"
+        ),
+        ("2", "6", "2", "0"): (
+            "q=2 l=6 a=2 b=0\nleft=256 right=64\nedges=2368\nconstructable=8\n"
+            "upper=2368\nsandwich=ok\ndegree_min=1 degree_avg=37/4 (9.25) "
+            "degree_max=22\nconstructable_ratio=1/296 (0.00337838)\n"
+        ),
+        ("4", "2", "0", "2"): (
+            "q=4 l=2 a=0 b=2\nleft=16 right=256\nedges=1072\nconstructable=0\n"
+            "upper=1072\nsandwich=ok\ndegree_min=67 degree_avg=67/1 (67) "
+            "degree_max=67\nconstructable_ratio=0/1 (0)\n"
+        ),
+    }
+
+    def test_stats_without_building_the_graph(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_channel_graph called without --export")
+
+        monkeypatch.setattr(ch, "build_channel_graph", refuse)
+        for (q, l, a, b), text in self.FULL_STDOUT.items():
+            code, out, _ = run_cli(capsys, "graph", "--q", q, "--l", l, "--a", a, "--b", b)
+            assert (code, out) == (0, text)
+
+    def test_export_prints_the_same_stats(self, capsys, tmp_path):
+        path = tmp_path / "edges.txt"
+        for (q, l, a, b), text in self.FULL_STDOUT.items():
+            code, out, _ = run_cli(
+                capsys, "graph", "--q", q, "--l", l, "--a", a, "--b", b, "--export", str(path)
+            )
+            assert (code, out) == (0, text + f"edge list written to {path}\n")
+
+    @pytest.mark.parametrize("route", ["orbit", "built"])
+    def test_export_cross_check_mismatch_exits_one(self, capsys, monkeypatch, tmp_path, route):
+        # one input loses one output on one route only
+        if route == "orbit":
+            real_output_ranks = ch.output_ranks
+
+            def corrupted(x, a, b, q):
+                out = real_output_ranks(x, a, b, q)
+                if x == (0, 0, 0):
+                    out.discard(max(out))
+                return out
+
+            monkeypatch.setattr(ch, "output_ranks", corrupted)
+        else:
+            real_build = ch.build_channel_graph
+
+            def corrupted(*args):
+                graph = real_build(*args)
+                adjacency = (graph.adjacency[0][1:],) + graph.adjacency[1:]
+                return ch.ChannelGraph(graph.q, graph.l, graph.a, graph.b, adjacency)
+
+            monkeypatch.setattr(ch, "build_channel_graph", corrupted)
+        path = tmp_path / "edges.txt"
+        code, out, err = run_cli(
+            capsys, "graph", "--q", "2", "--l", "2", "--a", "1", "--b", "1", "--export", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("check failed: q=2 l=2 a=1 b=1: the built graph's degree histogram")
+        assert not path.exists()
 
 
 class TestSearch:

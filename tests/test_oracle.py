@@ -227,7 +227,39 @@ class TestVtCode:
             orc.vt_code(4, 5)
 
 
+def packing_bound_full_scan(q, n, a, b):
+    """The packing bound with every input classified and every typical
+    input's output set built as tuples: the reference route for the orbit
+    scan of orc.packing_code_bound."""
+    split = bnd.typicality_split(q, n, a, b)
+    typical = [
+        x
+        for x in qs.all_strings(q, n)
+        if qs.longest_alternating_interval(x) < split.alt_cutoff
+        and qs.run_count(x) > split.run_cutoff
+    ]
+    if not typical:
+        return q ** n
+    min_degree = min(len(ch.channel_output_set(x, a, b, q)) for x in typical)
+    return q ** (n - a + b) // min_degree + q ** n - len(typical)
+
+
 class TestPackingBound:
+    def test_equals_the_full_scan(self):
+        with_typical = 0
+        for q, max_n in ((2, 9), (3, 5), (4, 4)):
+            for n in range(2, max_n + 1):
+                for s in range(3):
+                    for a in range(min(s, n) + 1):
+                        want = packing_bound_full_scan(q, n, a, s - a)
+                        assert orc.packing_code_bound(q, n, a, s - a) == want, (q, n, a, s - a)
+                        with_typical += want != q ** n
+        assert with_typical >= 20
+
+    def test_benchmark_pins(self):
+        assert orc.packing_code_bound(2, 12, 1, 1) == 315
+        assert orc.packing_code_bound(2, 12, 0, 2) == 154
+
     def test_exact_maximum_respects_packing_bound(self):
         for q, n, a, b in [(2, 6, 1, 0), (2, 6, 0, 1), (2, 7, 1, 0), (3, 4, 1, 0)]:
             bound = orc.packing_code_bound(q, n, a, b)
@@ -378,10 +410,11 @@ class TestClaimRegistry:
 
 class TestEdgeSandwich:
     def test_known_instance(self):
-        constructable, edges, upper = orc.edge_sandwich(ch.build_channel_graph(2, 1, 1, 0))
-        assert (constructable, edges, upper) == (0, 6, 6)
+        edges = ch.build_channel_graph(2, 1, 1, 0).edge_count
+        assert orc.edge_sandwich(2, 1, 1, 0, edges) == (0, 6, 6)
 
     def test_sandwich_holds_on_grid(self):
         for q, l, a, b in [(2, 4, 1, 1), (2, 5, 2, 0), (3, 3, 1, 0)]:
-            constructable, edges, upper = orc.edge_sandwich(ch.build_channel_graph(q, l, a, b))
+            edges = ch.build_channel_graph(q, l, a, b).edge_count
+            constructable, edges, upper = orc.edge_sandwich(q, l, a, b, edges)
             assert constructable <= edges <= upper

@@ -51,6 +51,24 @@ class TestSymmetryOrbits:
         for (q, n), count in counts.items():
             assert len(set(qs.symmetry_orbits(q, n))) == count, (q, n)
 
+    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
+    def test_representatives_are_the_orbit_ids_with_their_sizes(self, q, max_n):
+        for n in range(max_n + 1):
+            orbit_of = qs.symmetry_orbits(q, n)
+            ids = sorted(set(orbit_of))
+            want = [(qs.string_of(r, q, n), orbit_of.count(r)) for r in ids]
+            assert qs.orbit_representatives(q, n) == want, (q, n)
+            assert sum(size for _, size in want) == q ** n
+
+    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
+    def test_string_stats_are_constant_on_every_orbit(self, q, max_n):
+        # the packing bound classifies orbit representatives only
+        for n in range(max_n + 1):
+            orbit_of = qs.symmetry_orbits(q, n)
+            stats = [qs.string_stats(x) for x in qs.all_strings(q, n)]
+            for rank, orbit in enumerate(orbit_of):
+                assert stats[rank] == stats[orbit], (q, n, rank)
+
 
 class TestTextFormat:
     @given(st.integers(2, 10), st.lists(st.integers(0, 100), max_size=8))
