@@ -15,17 +15,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from delins.channels import DEFAULT_CAP, output_count_bound, output_ranks
+from delins.channels import DEFAULT_CAP, output_count_bound, output_count_histogram
 
 # Not used here: it stays importable as delins.bounds.channel_output_set, the
 # name-bound import that perfbench's tracer test checks is traced.
 from delins.channels import channel_output_set  # noqa: F401
 from delins.errors import CapExceededError
 from delins.qstrings import (
-    all_strings,
     binomial,
     check_alphabet,
     insertion_count,
+    orbit_representatives,
     string_stats,
 )
 
@@ -172,14 +172,16 @@ def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> 
     base = TypicalitySplit(q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff)
     if q ** n > cap:
         return base
+    # run counts and alternating intervals are invariant under reversal and
+    # symbol permutations: classify orbit representatives, weighted by size
     typical = long_alt = few = 0
-    for x in all_strings(q, n):
+    for x, size in orbit_representatives(q, n):
         stats = string_stats(x)
         is_long_alt = stats.longest_alternating >= alt_cutoff
         is_few = stats.runs <= run_cutoff
-        long_alt += is_long_alt
-        few += is_few
-        typical += not (is_long_alt or is_few)
+        long_alt += size * is_long_alt
+        few += size * is_few
+        typical += size * (not (is_long_alt or is_few))
     return TypicalitySplit(
         q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff, typical, long_alt, few
     )
@@ -200,7 +202,7 @@ def average_degree(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Av
     work = q ** n * output_count_bound(q, n, a, b)
     if work > cap:
         raise CapExceededError("average degree enumeration", work, cap)
-    total = sum(len(output_ranks(x, a, b, q)) for x in all_strings(q, n))
+    total = sum(degree * count for degree, count in output_count_histogram(q, n, a, b).items())
     avg = Fraction(total, q ** n)
     s = a + b
     asym = Fraction(binomial(n, s) * binomial(s, a) * (q - 1) ** s, q ** a)

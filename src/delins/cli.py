@@ -124,7 +124,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
             )
     left = sum(histogram.values())
     edges = sum(degree * count for degree, count in histogram.items())
-    constructable, edges, upper = orc.edge_sandwich(q, l, a, b, edges)
+    constructable, _, upper = orc.edge_sandwich(q, l, a, b, edges)
     print(f"q={q} l={l} a={a} b={b}")
     print(f"left={left} right={q ** (l + b)}")
     print(f"edges={edges}")

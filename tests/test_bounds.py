@@ -193,6 +193,22 @@ class TestTypicalitySplit:
                     assert q ** c >= target and (c == 0 or q ** (c - 1) < target)
                     assert c == math.ceil((s + 2) * math.log(n, q) - bnd.FLOAT_GUARD), (q, n, s)
 
+    def test_class_sizes_equal_a_full_scan(self):
+        # typicality_split weights orbit representatives; this classifies every string
+        for q, max_n in ((2, 9), (3, 5), (4, 4)):
+            for n in range(2, max_n + 1):
+                for a, b in ((1, 0), (1, 1), (0, 2)):
+                    split = bnd.typicality_split(q, n, a, b)
+                    long_alt = few = typical = 0
+                    for x in qs.all_strings(q, n):
+                        is_long_alt = qs.longest_alternating_interval(x) >= split.alt_cutoff
+                        is_few = qs.run_count(x) <= split.run_cutoff
+                        long_alt += is_long_alt
+                        few += is_few
+                        typical += not (is_long_alt or is_few)
+                    got = (split.typical, split.long_alternating, split.few_runs)
+                    assert got == (typical, long_alt, few), (q, n, a, b)
+
     def test_sizes_omitted_above_cap(self):
         split = bnd.typicality_split(2, 10, 1, 0, cap=100)
         assert split.typical is None
@@ -223,6 +239,19 @@ class TestAverageDegree:
         result = bnd.average_degree(2, n, 1, 1)
         graph = ch.build_channel_graph(2, n - 1, 1, 1)
         assert result.average == Fraction(graph.edge_count, 2 ** n)
+
+    def test_equals_a_full_scan(self):
+        # average_degree weights orbit representatives; this builds every output set
+        for q, max_n in ((2, 7), (3, 4)):
+            for n in range(max_n + 1):
+                for s in range(3):
+                    for a in range(min(s, n) + 1):
+                        total = sum(
+                            len(ch.channel_output_set(x, a, s - a, q))
+                            for x in qs.all_strings(q, n)
+                        )
+                        want = Fraction(total, q ** n)
+                        assert bnd.average_degree(q, n, a, s - a).average == want, (q, n, a)
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):

@@ -191,7 +191,8 @@ class TestInsertionRanks:
 class TestOrbitDegrees:
     @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
     def test_output_counts_are_constant_on_every_orbit(self, q, max_n):
-        # degree_histogram and the packing bound count orbit representatives only
+        # degree_histogram, average_degree and the packing bound count orbit
+        # representatives only
         for n in range(max_n + 1):
             orbit_of = qs.symmetry_orbits(q, n)
             strings = list(qs.all_strings(q, n))

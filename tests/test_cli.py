@@ -270,12 +270,16 @@ class TestGraph:
 
             monkeypatch.setattr(ch, "build_channel_graph", corrupted)
         path = tmp_path / "edges.txt"
-        code, out, err = run_cli(
-            capsys, "graph", "--q", "2", "--l", "2", "--a", "1", "--b", "1", "--export", str(path)
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("check failed: q=2 l=2 a=1 b=1: the built graph's degree histogram")
-        assert not path.exists()
+        # with and without insertions: both go through output_ranks
+        for a, b in (("1", "1"), ("1", "0")):
+            code, out, err = run_cli(
+                capsys, "graph", "--q", "2", "--l", "2", "--a", a, "--b", b, "--export", str(path)
+            )
+            assert (code, out) == (1, ""), (a, b)
+            assert err.startswith(
+                f"check failed: q=2 l=2 a={a} b={b}: the built graph's degree histogram"
+            )
+            assert not path.exists()
 
 
 class TestSearch:

@@ -62,7 +62,7 @@ class TestSymmetryOrbits:
 
     @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
     def test_string_stats_are_constant_on_every_orbit(self, q, max_n):
-        # the packing bound classifies orbit representatives only
+        # typicality_split and the packing bound classify orbit representatives only
         for n in range(max_n + 1):
             orbit_of = qs.symmetry_orbits(q, n)
             stats = [qs.string_stats(x) for x in qs.all_strings(q, n)]
