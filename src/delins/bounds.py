@@ -11,7 +11,7 @@ finite-length bounds come from the packing argument in the oracle module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
@@ -22,6 +22,7 @@ from delins.channels import DEFAULT_CAP, output_count_bound, output_count_histog
 from delins.channels import channel_output_set  # noqa: F401
 from delins.errors import CapExceededError
 from delins.qstrings import (
+    StringStats,
     binomial,
     check_alphabet,
     insertion_count,
@@ -150,6 +151,11 @@ class TypicalitySplit:
     long_alternating: int | None = None
     few_runs: int | None = None
 
+    def is_typical(self, stats: StringStats) -> bool:
+        """Typical: every alternating interval is shorter than alt_cutoff and
+        there are more than run_cutoff runs."""
+        return stats.longest_alternating < self.alt_cutoff and stats.runs > self.run_cutoff
+
 
 def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> TypicalitySplit:
     """Compute the typicality thresholds and, under the cap, exact class sizes.
@@ -177,14 +183,10 @@ def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> 
     typical = long_alt = few = 0
     for x, size in orbit_representatives(q, n):
         stats = string_stats(x)
-        is_long_alt = stats.longest_alternating >= alt_cutoff
-        is_few = stats.runs <= run_cutoff
-        long_alt += size * is_long_alt
-        few += size * is_few
-        typical += size * (not (is_long_alt or is_few))
-    return TypicalitySplit(
-        q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff, typical, long_alt, few
-    )
+        long_alt += size * (stats.longest_alternating >= alt_cutoff)
+        few += size * (stats.runs <= run_cutoff)
+        typical += size * base.is_typical(stats)
+    return replace(base, typical=typical, long_alternating=long_alt, few_runs=few)
 
 
 class AverageDegree(NamedTuple):
@@ -246,18 +248,7 @@ def bound_report(q: int, n: int, s: int, b: int) -> BoundReport:
     )
 
 
-CSV_COLUMNS = (
-    "q",
-    "n",
-    "a",
-    "b",
-    "s",
-    "levenshtein",
-    "generalized",
-    "insertion_bound",
-    "best_b",
-    "improvement",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(BoundReport))
 
 
 def fraction_str(value: Fraction) -> str:
@@ -265,44 +256,23 @@ def fraction_str(value: Fraction) -> str:
 
 
 def report_csv_lines(rows: Iterable[BoundReport]) -> Iterator[str]:
+    """The header, then one line per report: a Fraction cell as n/d, an int as is."""
     yield ",".join(CSV_COLUMNS)
     for r in rows:
-        yield ",".join(
-            (
-                str(r.q),
-                str(r.n),
-                str(r.a),
-                str(r.b),
-                str(r.s),
-                fraction_str(r.levenshtein),
-                fraction_str(r.generalized),
-                fraction_str(r.insertion_bound),
-                str(r.best_b),
-                fraction_str(r.improvement),
-            )
-        )
-
-
-def _fraction_json(value: Fraction) -> dict[str, str]:
-    return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
+        cells = (getattr(r, name) for name in CSV_COLUMNS)
+        yield ",".join(fraction_str(v) if isinstance(v, Fraction) else str(v) for v in cells)
 
 
 def report_json_obj(rows: Iterable[BoundReport]) -> dict:
+    """The columns and one object per report: a Fraction cell as numerator and
+    denominator strings, an int as is."""
+
+    def cell(value: int | Fraction) -> int | dict[str, str]:
+        if isinstance(value, Fraction):
+            return {"numerator": str(value.numerator), "denominator": str(value.denominator)}
+        return value
+
     return {
         "columns": list(CSV_COLUMNS),
-        "rows": [
-            {
-                "q": r.q,
-                "n": r.n,
-                "a": r.a,
-                "b": r.b,
-                "s": r.s,
-                "levenshtein": _fraction_json(r.levenshtein),
-                "generalized": _fraction_json(r.generalized),
-                "insertion_bound": _fraction_json(r.insertion_bound),
-                "best_b": r.best_b,
-                "improvement": _fraction_json(r.improvement),
-            }
-            for r in rows
-        ],
+        "rows": [{name: cell(getattr(r, name)) for name in CSV_COLUMNS} for r in rows],
     }

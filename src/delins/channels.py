@@ -188,9 +188,6 @@ def output_ranks(x: Qstr, a: int, b: int, q: int) -> set[int]:
 
 def channel_output_set(x: Qstr, a: int, b: int, q: int) -> set[Qstr]:
     """All outputs of the a-deletion b-insertion channel on input x."""
-    x = tuple(x)
-    if not 0 <= a <= len(x):
-        raise ValueError(f"cannot delete {a} symbols from a string of length {len(x)}")
     out: set[Qstr] = set()
     for z in deletion_set(x, a):
         out.update(insertion_set(z, b, q))

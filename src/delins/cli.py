@@ -286,9 +286,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except VerificationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

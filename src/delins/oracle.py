@@ -324,8 +324,7 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
         return q ** n
     min_degree: int | None = None
     for x, _ in orbit_representatives(q, n):
-        stats = string_stats(x)
-        if stats.longest_alternating >= split.alt_cutoff or stats.runs <= split.run_cutoff:
+        if not split.is_typical(string_stats(x)):
             continue
         degree = len(ch.output_ranks(x, a, b, q))
         if min_degree is None or degree < min_degree:

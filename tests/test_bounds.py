@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from delins import bounds as bnd
 from delins import channels as ch
+from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
 
@@ -208,6 +209,18 @@ class TestTypicalitySplit:
                         typical += not (is_long_alt or is_few)
                     got = (split.typical, split.long_alternating, split.few_runs)
                     assert got == (typical, long_alt, few), (q, n, a, b)
+
+    def test_is_typical_boundaries(self):
+        split = bnd.typicality_split(2, 100, 1, 0, cap=0)
+        alt, runs = split.alt_cutoff, split.run_cutoff
+        assert not split.is_typical(qs.StringStats(runs=runs + 1, longest_alternating=alt))
+        assert not split.is_typical(qs.StringStats(runs=runs, longest_alternating=alt - 1))
+        assert split.is_typical(qs.StringStats(runs=runs + 1, longest_alternating=alt - 1))
+
+    def test_one_rule_serves_the_split_and_the_packing_bound(self, monkeypatch):
+        monkeypatch.setattr(bnd.TypicalitySplit, "is_typical", lambda self, stats: False)
+        assert bnd.typicality_split(2, 8, 1, 0).typical == 0
+        assert orc.packing_code_bound(2, 8, 1, 0) == 2 ** 8
 
     def test_sizes_omitted_above_cap(self):
         split = bnd.typicality_split(2, 10, 1, 0, cap=100)

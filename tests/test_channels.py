@@ -184,7 +184,7 @@ class TestInsertionRanks:
         assert [ch.output_ranks(x, a, b, 3) for x, a, b in cases] == expected
 
     def test_output_ranks_rejects_overlong_deletion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot delete 2 symbols from a string of length 1"):
             ch.output_ranks((0,), 2, 0, 2)
 
 
@@ -245,7 +245,7 @@ class TestChannelOutputSet:
             assert direct == union
 
     def test_rejects_overlong_deletion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot delete 2 symbols from a string of length 1"):
             ch.channel_output_set((0,), 2, 0, 2)
 
 

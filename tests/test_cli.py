@@ -1,6 +1,8 @@
 import hashlib
 import json
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +69,24 @@ class TestBounds:
         assert code == 0
         assert "1024/45" in out
         assert "22.7556" in out
+
+    @pytest.mark.parametrize(
+        "fmt, digest",
+        [
+            ("csv", "75ef09d18f7ef76209be3782c3de34d4db6c6f7ef6af36cd74479afb7e41b11b"),
+            ("json", "3f5e93f868c6d2fad6b21d3a8ca2710828f586f2cb36f0c739f58844ed7c0bfc"),
+            ("text", "4679ea6622c36e7db727fe2cc27ffdf67c386fdf88c22d19b6c41c3672d8dc12"),
+        ],
+    )
+    def test_stdout_digest(self, capsys, fmt, digest):
+        # the whole table, byte for byte, in each format
+        code, out, _ = run_cli(
+            capsys,
+            "bounds", "--q", "2", "3", "4", "5", "11", "--n", "7", "30", "100",
+            "--s", "0", "1", "2", "3", "4", "5", "6", "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "table.csv"
@@ -435,3 +455,20 @@ class TestUnopenablePath:
         )
         assert code == 2
         assert err.startswith("usage error: ") and str(path) in err
+
+
+def readme_commands():
+    """Every `delins ...` line of the README's "Command line" block, as argv lists."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("delins ")]
+
+
+def test_readme_command_lines_parse():
+    # parsing only: no subcommand runs, so no file is written
+    commands = readme_commands()
+    assert len(commands) >= 5
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0], argv
