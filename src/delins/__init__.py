@@ -31,8 +31,6 @@ from delins.channels import (
     deletion_set,
     insertion_ranks,
     insertion_set,
-    is_subsequence,
-    lcs_length,
     output_ranks,
 )
 from delins.codec import (

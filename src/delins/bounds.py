@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from delins.channels import DEFAULT_CAP, output_count_bound, output_count_histogram
+from delins.channels import DEFAULT_CAP, check_channel, output_count_bound, output_count_histogram
 
 # Not used here: it stays importable as delins.bounds.channel_output_set, the
 # name-bound import that perfbench's tracer test checks is traced.
@@ -199,8 +199,7 @@ def average_degree(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Av
     """Exact average output count over [q]^n, with the asymptotic expression
     binom(n, s) binom(s, a) (q-1)^s / q^a and their ratio for trend reports."""
     check_alphabet(q)
-    if not 0 <= a <= n or b < 0:
-        raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
+    check_channel(n, a, b)
     work = q ** n * output_count_bound(q, n, a, b)
     if work > cap:
         raise CapExceededError("average degree enumeration", work, cap)

@@ -49,29 +49,6 @@ from delins.qstrings import (
 DEFAULT_CAP = 1 << 22
 
 
-def is_subsequence(z: Qstr, x: Qstr) -> bool:
-    """True iff z can be obtained from x by deleting symbols."""
-    it = iter(x)
-    return all(sym in it for sym in z)
-
-
-def lcs_length(x: Qstr, y: Qstr) -> int:
-    """Length of the longest common subsequence, by the standard table."""
-    if not x or not y:
-        return 0
-    prev = [0] * (len(y) + 1)
-    for xi in x:
-        cur = [0] * (len(y) + 1)
-        for j, yj in enumerate(y):
-            if xi == yj:
-                cur[j + 1] = prev[j] + 1
-            else:
-                a, b = cur[j], prev[j + 1]
-                cur[j + 1] = a if a >= b else b
-        prev = cur
-    return prev[-1]
-
-
 def deletion_set(x: Qstr, s: int) -> set[Qstr]:
     """All distinct strings obtained from x by deleting exactly s symbols."""
     x = tuple(x)
@@ -194,6 +171,12 @@ def channel_output_set(x: Qstr, a: int, b: int, q: int) -> set[Qstr]:
     return out
 
 
+def check_channel(n: int, a: int, b: int) -> None:
+    """Reject an (a, b) channel that cannot act on inputs of length n."""
+    if not 0 <= a <= n or b < 0:
+        raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
+
+
 def output_count_bound(q: int, n: int, a: int, b: int) -> int:
     """An upper bound on |channel_output_set(x, a, b, q)| for x in [q]^n, for
     cap checks: every output is one of the insertion sets of the
@@ -254,10 +237,6 @@ class ChannelGraph:
         return self.l + self.b
 
     @property
-    def left_size(self) -> int:
-        return len(self.adjacency)
-
-    @property
     def right_size(self) -> int:
         return self.q ** self.right_length
 
@@ -265,26 +244,18 @@ class ChannelGraph:
     def edge_count(self) -> int:
         return sum(len(neigh) for neigh in self.adjacency)
 
-    def neighbors(self, left_rank: int) -> tuple[int, ...]:
-        return self.adjacency[left_rank]
-
     def left_string(self, rank: int) -> Qstr:
         return string_of(rank, self.q, self.left_length)
 
     def right_string(self, rank: int) -> Qstr:
         return string_of(rank, self.q, self.right_length)
 
-    def edges(self) -> Iterator[tuple[Qstr, Qstr]]:
-        for left_rank, neigh in enumerate(self.adjacency):
-            x = self.left_string(left_rank)
-            for right_rank in neigh:
-                yield x, self.right_string(right_rank)
-
     def degree_histogram(self) -> Counter[int]:
         return Counter(len(neigh) for neigh in self.adjacency)
 
     def write_edge_list(self, fp: IO[str]) -> None:
-        """A `q l a b` header, then one `x y` line per edge in edges() order.
+        """A `q l a b` header, then one `x y` line per edge: left vertices by
+        rank, each one's right neighbours ascending.
 
         Each right vertex is formatted once; each left vertex's lines are
         written as one block.
@@ -444,9 +415,8 @@ def channel_equivalence_counterexample(
     Returns the first violating pair in all_strings order, or None.
     """
     check_alphabet(q)
+    check_channel(n, a, b)
     s = a + b
-    if not 0 <= a <= n or b < 0:
-        raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
     if s > n:
         raise ValueError(f"need a + b <= n, got {s} > {n}")
     work = max(q ** n * (output_count_bound(q, n, a, b) + binomial(n, s)), q ** (2 * n))

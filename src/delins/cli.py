@@ -21,17 +21,13 @@ from delins import codec as cdc
 from delins import oracle as orc
 from delins.channels import DEFAULT_CAP
 from delins.errors import CapExceededError, VerificationError
-from delins.qstrings import format_qary, parse_qary
+from delins.qstrings import check_alphabet, format_qary, parse_qary
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_TIMEOUT = 4
-
-
-class UsageError(ValueError):
-    pass
 
 
 def fraction_decimal(value: Fraction) -> str:
@@ -58,10 +54,9 @@ def _bound_rows(qs: list[int], ns: list[int], ss: list[int]) -> list[bnd.BoundRe
     for q in sorted(set(qs)):
         for n in sorted(set(ns)):
             for s in sorted(set(ss)):
-                if q < 2:
-                    raise UsageError(f"alphabet size must be at least 2, got {q}")
+                check_alphabet(q)
                 if not 0 <= s <= n:
-                    raise UsageError(f"need 0 <= s <= n, got s={s}, n={n}")
+                    raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
                 for b in range(s + 1):
                     rows.append(bnd.bound_report(q, n, s, b))
     return rows
@@ -96,7 +91,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 2:
-        raise UsageError(f"--max-n must be at least 2, got {args.max_n}")
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     caps = orc.VerifyCaps(max_n=args.max_n, cap=args.cap)
     checks = orc.verify_all_lemmas(args.q, caps)
     width = max(len(c.name) for c in checks)
@@ -124,13 +119,14 @@ def cmd_graph(args: argparse.Namespace) -> int:
             )
     left = sum(histogram.values())
     edges = sum(degree * count for degree, count in histogram.items())
-    constructable, _, upper = orc.edge_sandwich(q, l, a, b, edges)
+    constructable, upper = orc.edge_sandwich(q, l, a, b)
+    inside = constructable <= edges <= upper
     print(f"q={q} l={l} a={a} b={b}")
     print(f"left={left} right={q ** (l + b)}")
     print(f"edges={edges}")
     print(f"constructable={constructable}")
     print(f"upper={upper}")
-    print(f"sandwich={'ok' if constructable <= edges <= upper else 'VIOLATED'}")
+    print(f"sandwich={'ok' if inside else 'VIOLATED'}")
     dmin, davg, dmax = min(histogram), Fraction(edges, left), max(histogram)
     print(f"degree_min={dmin} degree_avg={_fraction_text(davg)} degree_max={dmax}")
     ratio = Fraction(constructable, edges) if edges else Fraction(0)
@@ -139,7 +135,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
         with open(args.export, "w", encoding="utf-8") as fp:
             graph.write_edge_list(fp)
         print(f"edge list written to {args.export}")
-    return EXIT_OK if constructable <= edges <= upper else EXIT_FAIL
+    return EXIT_OK if inside else EXIT_FAIL
 
 
 def cmd_search(args: argparse.Namespace) -> int:
@@ -165,14 +161,14 @@ def _read_parameter_file(path: str, q: int) -> tuple[cdc.Qstr, tuple[cdc.InsertT
     with open(path, encoding="utf-8") as fp:
         lines = [line.strip() for line in fp if line.strip()]
     if not lines or not lines[0].startswith("z0"):
-        raise UsageError("parameter file must start with a 'z0 <string>' line")
+        raise ValueError("parameter file must start with a 'z0 <string>' line")
     first = lines[0].split()
     z0 = parse_qary(first[1], q) if len(first) > 1 else ()
     triples = []
     for line in lines[1:]:
         parts = line.split()
         if len(parts) != 3 or parts[0] not in (cdc.LEFT, cdc.RIGHT):
-            raise UsageError(f"bad triple line: {line!r} (want 'left|right offset interval')")
+            raise ValueError(f"bad triple line: {line!r} (want 'left|right offset interval')")
         triples.append(cdc.InsertTriple(parts[0], int(parts[1]), parse_qary(parts[2], q)))
     return z0, tuple(triples)
 
@@ -208,9 +204,9 @@ def cmd_codec(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.roundtrip:
         if args.l is None or args.a is None or args.b is None:
-            raise UsageError("--roundtrip needs --l, --a and --b")
+            raise ValueError("--roundtrip needs --l, --a and --b")
         if cdc.parameter_count(q, args.l, args.a, args.b) == 0:
-            raise UsageError(
+            raise ValueError(
                 f"no edge parameter exists at q={q} l={args.l} a={args.a} b={args.b}, "
                 "so a round trip would check nothing"
             )
@@ -221,7 +217,7 @@ def cmd_codec(args: argparse.Namespace) -> int:
             return EXIT_FAIL
         print(f"all {total} parameters round-trip")
         return EXIT_OK
-    raise UsageError("codec needs one of --deconstruct, --construct, --roundtrip")
+    raise ValueError("codec needs one of --deconstruct, --construct, --roundtrip")
 
 
 def build_parser() -> argparse.ArgumentParser:

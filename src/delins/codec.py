@@ -60,17 +60,6 @@ class EdgeParameter(NamedTuple):
     offsets: tuple[int, ...]
     intervals: tuple[Qstr, ...]
 
-    @property
-    def start(self) -> Qstr:
-        return self.intervals[0]
-
-    @property
-    def triples(self) -> tuple[InsertTriple, ...]:
-        return tuple(
-            InsertTriple(side, offset, interval)
-            for side, offset, interval in zip(self.gap_sides, self.offsets, self.intervals[1:])
-        )
-
 
 def insert_step(triple: InsertTriple, q: int) -> tuple[Qstr, Qstr]:
     """Prepend (offset + head) mod q to the interval on the chosen side.
@@ -101,10 +90,6 @@ def construct(z0: Qstr, triples: tuple[InsertTriple, ...], q: int) -> tuple[Qstr
         x += u
         y += v
     return x, y
-
-
-def construct_edge(param: EdgeParameter, q: int) -> tuple[Qstr, Qstr]:
-    return construct(param.start, param.triples, q)
 
 
 def match(x: Qstr, y: Qstr) -> tuple[Qstr, Qstr, Qstr]:

@@ -1,14 +1,38 @@
-"""Reference routes to LCS and SCS questions, used only by the tests.
+"""Reference routes to subsequence, LCS and SCS questions, used only by the
+tests.
 
 Each answers by its own method, independently of the LCS/SCS sweep and the
 rank enumerators in delins.channels, so the tests can compare those against
-them: lcs_at_least by bit-parallel bit vectors, scs_length by its own
-dynamic-programming table.
+them: is_subsequence by one scan of x, lcs_length and scs_length by their
+own dynamic-programming tables, lcs_at_least by bit-parallel bit vectors.
 """
 
 from functools import lru_cache
 
 from delins.qstrings import Qstr
+
+
+def is_subsequence(z: Qstr, x: Qstr) -> bool:
+    """True iff z can be obtained from x by deleting symbols."""
+    it = iter(x)
+    return all(sym in it for sym in z)
+
+
+def lcs_length(x: Qstr, y: Qstr) -> int:
+    """Length of the longest common subsequence, by the standard table."""
+    if not x or not y:
+        return 0
+    prev = [0] * (len(y) + 1)
+    for xi in x:
+        cur = [0] * (len(y) + 1)
+        for j, yj in enumerate(y):
+            if xi == yj:
+                cur[j + 1] = prev[j] + 1
+            else:
+                a, b = cur[j], prev[j + 1]
+                cur[j + 1] = a if a >= b else b
+        prev = cur
+    return prev[-1]
 
 
 @lru_cache(maxsize=1)

@@ -11,7 +11,7 @@ from delins import cli
 from delins import qstrings as qs
 from delins.errors import CapExceededError
 
-from lcs_reference import lcs_at_least, scs_length
+from lcs_reference import is_subsequence, lcs_at_least, lcs_length, scs_length
 
 
 def qary_pair(q: int, max_len: int = 7):
@@ -21,14 +21,14 @@ def qary_pair(q: int, max_len: int = 7):
 
 class TestIsSubsequence:
     def test_examples(self):
-        assert ch.is_subsequence((0, 1, 0), (0, 1, 1, 0))
-        assert not ch.is_subsequence((1, 1), (0, 0))
-        assert ch.is_subsequence((), (0, 1))
+        assert is_subsequence((0, 1, 0), (0, 1, 1, 0))
+        assert not is_subsequence((1, 1), (0, 0))
+        assert is_subsequence((), (0, 1))
 
     @given(qary_pair(2))
     def test_reflexive_and_consistent_with_deletion(self, pair):
         x, _ = pair
-        assert ch.is_subsequence(x, x)
+        assert is_subsequence(x, x)
 
     @given(st.integers(2, 3).flatmap(lambda q: qary_pair(q, 6)))
     def test_matches_deletion_set_membership(self, pair):
@@ -36,31 +36,31 @@ class TestIsSubsequence:
         if len(z) > len(x):
             z, x = x, z
         expected = z in ch.deletion_set(x, len(x) - len(z))
-        assert ch.is_subsequence(z, x) == expected
+        assert is_subsequence(z, x) == expected
 
 
 class TestLcsScs:
     def test_lcs_basic(self):
-        assert ch.lcs_length((0, 1, 0, 1), (1, 0, 1, 0)) == 3
-        assert ch.lcs_length((), (0, 1)) == 0
-        assert ch.lcs_length((0, 1, 2), (0, 1, 2)) == 3
+        assert lcs_length((0, 1, 0, 1), (1, 0, 1, 0)) == 3
+        assert lcs_length((), (0, 1)) == 0
+        assert lcs_length((0, 1, 2), (0, 1, 2)) == 3
 
     @given(qary_pair(3, 6))
     def test_lcs_symmetric(self, pair):
         x, y = pair
-        assert ch.lcs_length(x, y) == ch.lcs_length(y, x)
+        assert lcs_length(x, y) == lcs_length(y, x)
 
     @given(qary_pair(2, 6), st.integers(0, 7))
     def test_lcs_at_least_agrees_with_full_table(self, pair, l):
         x, y = pair
-        assert lcs_at_least(x, y, l) == (ch.lcs_length(x, y) >= l)
+        assert lcs_at_least(x, y, l) == (lcs_length(x, y) >= l)
 
     @pytest.mark.parametrize("q,max_len", [(2, 6), (3, 4)])
     def test_bit_parallel_lcs_at_least_on_every_pair(self, q, max_len):
         strings = [x for n in range(max_len + 1) for x in qs.all_strings(q, n)]
         for x in strings:
             for y in strings:
-                lcs = ch.lcs_length(x, y)
+                lcs = lcs_length(x, y)
                 for l in range(max_len + 2):
                     assert lcs_at_least(x, y, l) == (lcs >= l), (x, y, l)
 
@@ -71,7 +71,7 @@ class TestLcsScs:
                 brute = None
                 for length in range(max(len(x), len(y)), len(x) + len(y) + 1):
                     if any(
-                        ch.is_subsequence(x, w) and ch.is_subsequence(y, w)
+                        is_subsequence(x, w) and is_subsequence(y, w)
                         for w in qs.all_strings(2, length)
                     ):
                         brute = length
@@ -107,7 +107,7 @@ class TestInsertionSet:
         x = (0, 2, 1)
         for w in ch.insertion_set(x, 2, 3):
             assert len(w) == 5
-            assert ch.is_subsequence(x, w)
+            assert is_subsequence(x, w)
 
 
 class TestInsertionRanks:
@@ -132,7 +132,7 @@ class TestInsertionRanks:
                     for x in qs.all_strings(q, n):
                         ranks = ch.insertion_ranks(x, s, q)
                         assert len(ranks) == len(set(ranks)), (q, x, s)
-                        brute = {qs.rank_of(w, q) for w in candidates if ch.is_subsequence(x, w)}
+                        brute = {qs.rank_of(w, q) for w in candidates if is_subsequence(x, w)}
                         assert set(ranks) == brute, (q, x, s)
                         assert len(ranks) == qs.insertion_count(q, s, n + s)
 
@@ -249,10 +249,18 @@ class TestChannelOutputSet:
             ch.channel_output_set((0,), 2, 0, 2)
 
 
+def edge_set(graph: ch.ChannelGraph) -> set:
+    return {
+        (graph.left_string(r), graph.right_string(y))
+        for r, neigh in enumerate(graph.adjacency)
+        for y in neigh
+    }
+
+
 class TestChannelGraph:
     def test_six_edge_anchor(self):
         graph = ch.build_channel_graph(2, 1, 1, 0)
-        edges = set(graph.edges())
+        edges = edge_set(graph)
         assert edges == {
             ((0, 0), (0,)),
             ((0, 1), (0,)),
@@ -267,32 +275,32 @@ class TestChannelGraph:
     def test_zero_error_graph_is_perfect_matching(self, q, l):
         graph = ch.build_channel_graph(q, l, 0, 0)
         assert graph.edge_count == q ** l
-        for rank in range(graph.left_size):
-            assert graph.neighbors(rank) == (rank,)
+        for rank in range(len(graph.adjacency)):
+            assert graph.adjacency[rank] == (rank,)
 
     def test_neighbors_equal_channel_output_set(self):
         for q, l, a, b in [(2, 3, 1, 0), (2, 2, 1, 1), (2, 3, 2, 0), (3, 2, 1, 1)]:
             graph = ch.build_channel_graph(q, l, a, b)
-            for rank in range(graph.left_size):
+            for rank in range(len(graph.adjacency)):
                 x = graph.left_string(rank)
                 expected = {
                     qs.rank_of(y, q) for y in ch.channel_output_set(x, a, b, q)
                 }
-                assert set(graph.neighbors(rank)) == expected, (q, l, a, b, x)
+                assert set(graph.adjacency[rank]) == expected, (q, l, a, b, x)
 
     def test_adjacency_matches_pairwise_lcs(self):
         for q, l, a, b in [(2, 2, 1, 1), (2, 4, 1, 0), (3, 2, 1, 0)]:
             graph = ch.build_channel_graph(q, l, a, b)
-            for xr in range(graph.left_size):
+            for xr in range(len(graph.adjacency)):
                 x = graph.left_string(xr)
-                neighbor_set = set(graph.neighbors(xr))
+                neighbor_set = set(graph.adjacency[xr])
                 for yr in range(graph.right_size):
                     y = graph.right_string(yr)
                     assert (yr in neighbor_set) == lcs_at_least(x, y, l)
 
     def test_reversal_symmetry(self):
         graph = ch.build_channel_graph(2, 3, 1, 1)
-        edges = set(graph.edges())
+        edges = edge_set(graph)
         for x, y in edges:
             assert (x[::-1], y[::-1]) in edges
 
@@ -367,7 +375,7 @@ class TestDualitySweep:
         for m in range(max_len + 1):
             for n in range(max_len + 1):
                 want = [
-                    (x, y_rank, ch.lcs_length(x, y), scs_length(x, y))
+                    (x, y_rank, lcs_length(x, y), scs_length(x, y))
                     for x in qs.all_strings(q, m)
                     for y_rank, y in enumerate(qs.all_strings(q, n))
                 ]
@@ -386,7 +394,7 @@ class TestDualitySweep:
         brute = None
         for x in qs.all_strings(q, m):
             for y in qs.all_strings(q, n):
-                lcs = ch.lcs_length(x, y)
+                lcs = lcs_length(x, y)
                 scs = _skewed_scs(x, y, lcs, scs_length(x, y))
                 bad = [l for l in range(1, min(m, n)) if (lcs >= l) != (scs <= m + n - l)]
                 if bad:

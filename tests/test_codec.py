@@ -18,6 +18,11 @@ def nonalternating(q: int, min_len: int = 2, max_len: int = 5):
     )
 
 
+def construct_edge(param: EdgeParameter, q: int) -> tuple[qs.Qstr, qs.Qstr]:
+    triples = tuple(map(InsertTriple, param.gap_sides, param.offsets, param.intervals[1:]))
+    return cdc.construct(param.intervals[0], triples, q)
+
+
 class TestInsertStep:
     @pytest.mark.parametrize(
         "side,offset,interval,q,expected",
@@ -66,7 +71,7 @@ class TestConstruct:
     def test_endpoint_lengths_and_common_subsequence(self):
         for q, l, a, b in [(2, 4, 1, 1), (3, 4, 1, 0), (2, 5, 2, 0)]:
             for param in cdc.enumerate_parameters(q, l, a, b):
-                x, y = cdc.construct_edge(param, q)
+                x, y = construct_edge(param, q)
                 assert len(x) == l + a and len(y) == l + b
                 assert lcs_at_least(x, y, l), (param, x, y)
 
@@ -280,7 +285,7 @@ class TestRoundTrip:
         assert cdc.roundtrip_counterexample(q, l, a, b) == (cdc.parameter_count(q, l, a, b), None)
 
     def test_counterexample_is_the_first_edge_that_fails(self, monkeypatch):
-        edges = [cdc.construct_edge(p, 2) for p in cdc.enumerate_parameters(2, 6, 1, 1)]
+        edges = [construct_edge(p, 2) for p in cdc.enumerate_parameters(2, 6, 1, 1)]
         deconstruct = cdc.deconstruct
 
         def drops_last_step(x, y, q):
@@ -298,7 +303,7 @@ class TestRoundTrip:
 
     def test_distinct_parameters_give_distinct_edges(self):
         for q, l, a, b in [(2, 5, 1, 1), (3, 4, 1, 0)]:
-            edges = {cdc.construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)}
+            edges = {construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)}
             assert len(edges) == cdc.parameter_count(q, l, a, b)
 
     @pytest.mark.parametrize(
@@ -315,7 +320,7 @@ class TestRoundTrip:
         monkeypatch.setattr(cdc, "deconstruct", recorder)
         count, failure = cdc.roundtrip_counterexample(q, l, a, b)
         assert failure is None
-        assert seen == [cdc.construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)]
+        assert seen == [construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)]
         assert count == len(seen) == cdc.parameter_count(q, l, a, b) > 0
 
     def test_insert_steps_come_from_insert_step(self, monkeypatch):
@@ -328,4 +333,4 @@ class TestRoundTrip:
         monkeypatch.setattr(cdc, "insert_step", wrong_side_for_offset_one)
         first = next(cdc.enumerate_parameters(3, 6, 1, 1))
         assert first.offsets == (1, 1)
-        assert cdc.roundtrip_counterexample(3, 6, 1, 1) == (1, cdc.construct_edge(first, 3))
+        assert cdc.roundtrip_counterexample(3, 6, 1, 1) == (1, construct_edge(first, 3))

@@ -46,14 +46,14 @@ class TestConflictGraph:
         graph = orc.build_conflict_graph(2, 3, 1)
         i = qs.rank_of((0, 0, 0), 2)
         j = qs.rank_of((0, 0, 1), 2)
-        assert graph.conflicts(i, j)  # both strings contain 00
+        assert graph.masks[i] >> j & 1  # both strings contain 00
 
     def test_symmetric_and_irreflexive(self):
         graph = orc.build_conflict_graph(2, 4, 1)
         for i in range(graph.size):
-            assert not graph.conflicts(i, i)
+            assert not graph.masks[i] >> i & 1
             for j in range(graph.size):
-                assert graph.conflicts(i, j) == graph.conflicts(j, i)
+                assert graph.masks[i] >> j & 1 == graph.masks[j] >> i & 1
 
     def test_matches_output_set_conflicts(self):
         # same relation built from the mixed-channel output sets
@@ -64,7 +64,7 @@ class TestConflictGraph:
             for i in range(len(strings)):
                 for j in range(i + 1, len(strings)):
                     expected = not outputs[i].isdisjoint(outputs[j])
-                    assert graph.conflicts(i, j) == expected, (n, i, j)
+                    assert bool(graph.masks[i] >> j & 1) == expected, (n, i, j)
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
@@ -132,7 +132,7 @@ class TestConflictGraph:
                 assert not row >> i & 1
                 for j in range(graph.size):
                     if j != i:
-                        assert bool(row >> j & 1) == graph.conflicts(order[i], order[j])
+                        assert row >> j & 1 == graph.masks[order[i]] >> order[j] & 1
 
     def test_build_and_search_rows_build_no_deletion_set(self, monkeypatch):
         # both take their groups from the insertion balls of the shorter strings
@@ -269,6 +269,16 @@ class TestPackingBound:
     def test_degenerate_split_falls_back_to_space_size(self):
         # tiny lengths make every string atypical
         assert orc.packing_code_bound(2, 4, 1, 0) <= 2 ** 4 + 2 ** 4
+
+    @pytest.mark.parametrize("a,b", [(-1, 0), (1, -2), (5, 0)])
+    def test_rejects_invalid_channel_before_enumerating(self, monkeypatch, a, b):
+        def refuse(q, n):
+            raise AssertionError("orbit_representatives called")
+
+        monkeypatch.setattr(orc, "orbit_representatives", refuse)
+        monkeypatch.setattr(bnd, "orbit_representatives", refuse)
+        with pytest.raises(ValueError, match=f"invalid channel parameters a={a}, b={b} for length 4"):
+            orc.packing_code_bound(2, 4, a, b)
 
     def test_no_typical_input_found_is_an_error(self, monkeypatch):
         # the split counts typical inputs, but the scan is made to see none
@@ -411,10 +421,11 @@ class TestClaimRegistry:
 class TestEdgeSandwich:
     def test_known_instance(self):
         edges = ch.build_channel_graph(2, 1, 1, 0).edge_count
-        assert orc.edge_sandwich(2, 1, 1, 0, edges) == (0, 6, 6)
+        constructable, upper = orc.edge_sandwich(2, 1, 1, 0)
+        assert (constructable, edges, upper) == (0, 6, 6)
 
     def test_sandwich_holds_on_grid(self):
         for q, l, a, b in [(2, 4, 1, 1), (2, 5, 2, 0), (3, 3, 1, 0)]:
             edges = ch.build_channel_graph(q, l, a, b).edge_count
-            constructable, edges, upper = orc.edge_sandwich(q, l, a, b, edges)
+            constructable, upper = orc.edge_sandwich(q, l, a, b)
             assert constructable <= edges <= upper
