@@ -11,11 +11,11 @@ finite-length bounds come from the packing argument in the oracle module).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
-from delins.channels import DEFAULT_CAP, check_channel, output_count_bound, output_count_histogram
+from delins.channels import DEFAULT_CAP, check_channel, output_count_bound, output_ranks
 
 # Not used here: it stays importable as delins.bounds.channel_output_set, the
 # name-bound import that perfbench's tracer test checks is traced.
@@ -26,8 +26,7 @@ from delins.qstrings import (
     binomial,
     check_alphabet,
     insertion_count,
-    orbit_representatives,
-    string_stats,
+    orbit_tally,
 )
 
 # Tolerance when turning real-valued thresholds into integer cutoffs.
@@ -136,7 +135,6 @@ class TypicalitySplit:
 
     Strings with a long alternating interval and strings with few runs are
     the atypical classes (they may overlap); everything else is typical.
-    Exact class sizes are filled in only when q^n is under the cap.
     """
 
     q: int
@@ -147,9 +145,6 @@ class TypicalitySplit:
     eps: float  # run-count concentration radius, sqrt((s+1) ln n / (2(n-1)))
     alt_cutoff: int  # cutoff actually used: least c with q**c >= n**(s+2)
     run_cutoff: int  # integer cutoff actually used: floor of the run threshold
-    typical: int | None = None
-    long_alternating: int | None = None
-    few_runs: int | None = None
 
     def is_typical(self, stats: StringStats) -> bool:
         """Typical: every alternating interval is shorter than alt_cutoff and
@@ -157,8 +152,8 @@ class TypicalitySplit:
         return stats.longest_alternating < self.alt_cutoff and stats.runs > self.run_cutoff
 
 
-def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> TypicalitySplit:
-    """Compute the typicality thresholds and, under the cap, exact class sizes.
+def typicality_split(q: int, n: int, a: int, b: int) -> TypicalitySplit:
+    """Compute the typicality thresholds.
 
     The alternating cutoff is ceil(c_threshold) in exact integers: the least
     c >= 0 with q**c >= n**(s+2).  The run-count radius uses the natural log;
@@ -175,18 +170,7 @@ def typicality_split(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> 
         alt_cutoff += 1
         power *= q
     run_cutoff = few_runs_cutoff(q, n, eps)
-    base = TypicalitySplit(q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff)
-    if q ** n > cap:
-        return base
-    # run counts and alternating intervals are invariant under reversal and
-    # symbol permutations: classify orbit representatives, weighted by size
-    typical = long_alt = few = 0
-    for x, size in orbit_representatives(q, n):
-        stats = string_stats(x)
-        long_alt += size * (stats.longest_alternating >= alt_cutoff)
-        few += size * (stats.runs <= run_cutoff)
-        typical += size * base.is_typical(stats)
-    return replace(base, typical=typical, long_alternating=long_alt, few_runs=few)
+    return TypicalitySplit(q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff)
 
 
 class AverageDegree(NamedTuple):
@@ -203,7 +187,8 @@ def average_degree(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Av
     work = q ** n * output_count_bound(q, n, a, b)
     if work > cap:
         raise CapExceededError("average degree enumeration", work, cap)
-    total = sum(degree * count for degree, count in output_count_histogram(q, n, a, b).items())
+    histogram = orbit_tally(q, n, lambda x: len(output_ranks(x, a, b, q)))
+    total = sum(degree * count for degree, count in histogram.items())
     avg = Fraction(total, q ** n)
     s = a + b
     asym = Fraction(binomial(n, s) * binomial(s, a) * (q - 1) ** s, q ** a)

@@ -10,9 +10,9 @@ Output sets come in two forms.  insertion_set and channel_output_set build
 sets of tuples and are the reference route of the tests; insertion_ranks
 and output_ranks enumerate base-q ranks without duplicates, and every other
 caller uses them; output_ranks reaches each deletion result by one deletion
-per run at a time.  output_count_histogram counts output set sizes from
-one output set per orbit representative; degree_histogram reads the graph's
-degrees from it, so only an export builds the graph.
+per run at a time.  degree_histogram counts the graph's degrees as
+qstrings.orbit_tally of the output count, one output set per orbit
+representative, so only an export builds the graph.
 conflict_masks ORs each group of inputs sharing an output into their
 conflict rows.  The inputs sharing a deletion result z are the insertion
 ball of z, so deletion_groups builds no deletion set.  The
@@ -38,7 +38,7 @@ from delins.qstrings import (
     check_alphabet,
     format_qary,
     insertion_count,
-    orbit_representatives,
+    orbit_tally,
     rank_of,
     string_of,
 )
@@ -277,26 +277,12 @@ def _check_graph_size(q: int, l: int, a: int, b: int, cap: int) -> None:
         raise CapExceededError("channel graph vertex enumeration", vertices, cap)
 
 
-def output_count_histogram(q: int, n: int, a: int, b: int) -> Counter[int]:
-    """Inputs x of [q]^n per output count |output_ranks(x, a, b, q)|.
-
-    Reversal and the symbol permutations commute with deletion and
-    insertion, so orbit mates have equal output counts: one output_ranks
-    call per orbit representative, counted with its orbit size.  No cap
-    check; callers make their own.
-    """
-    histogram: Counter[int] = Counter()
-    for x, size in orbit_representatives(q, n):
-        histogram[len(output_ranks(x, a, b, q))] += size
-    return histogram
-
-
 def degree_histogram(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Counter[int]:
     """Left vertices of the channel graph per degree, without building it:
-    the degree of x is its output count.  The cap check is
-    build_channel_graph's."""
+    the degree of x is its output count, which every orbit mate of x
+    shares.  The cap check is build_channel_graph's."""
     _check_graph_size(q, l, a, b, cap)
-    return output_count_histogram(q, l + a, a, b)
+    return orbit_tally(q, l + a, lambda x: len(output_ranks(x, a, b, q)))
 
 
 def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> ChannelGraph:

@@ -202,22 +202,21 @@ def cmd_codec(args: argparse.Namespace) -> int:
         x, y = cdc.construct(z0, triples, q)
         print(f"x={format_qary(x, q)} y={format_qary(y, q)}")
         return EXIT_OK
-    if args.roundtrip:
-        if args.l is None or args.a is None or args.b is None:
-            raise ValueError("--roundtrip needs --l, --a and --b")
-        if cdc.parameter_count(q, args.l, args.a, args.b) == 0:
-            raise ValueError(
-                f"no edge parameter exists at q={q} l={args.l} a={args.a} b={args.b}, "
-                "so a round trip would check nothing"
-            )
-        total, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
-        if failure is not None:
-            x, y = failure
-            print(f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}")
-            return EXIT_FAIL
-        print(f"all {total} parameters round-trip")
-        return EXIT_OK
-    raise ValueError("codec needs one of --deconstruct, --construct, --roundtrip")
+    # the parser admits exactly one mode, so this is --roundtrip
+    if args.l is None or args.a is None or args.b is None:
+        raise ValueError("--roundtrip needs --l, --a and --b")
+    if cdc.parameter_count(q, args.l, args.a, args.b) == 0:
+        raise ValueError(
+            f"no edge parameter exists at q={q} l={args.l} a={args.a} b={args.b}, "
+            "so a round trip would check nothing"
+        )
+    total, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
+    if failure is not None:
+        x, y = failure
+        print(f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}")
+        return EXIT_FAIL
+    print(f"all {total} parameters round-trip")
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,9 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_codec = sub.add_parser("codec", help="construct/deconstruct edges")
     p_codec.add_argument("--q", type=int, default=2)
-    p_codec.add_argument("--deconstruct", nargs=2, metavar=("X", "Y"))
-    p_codec.add_argument("--construct", metavar="FILE")
-    p_codec.add_argument("--roundtrip", action="store_true")
+    mode = p_codec.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--deconstruct", nargs=2, metavar=("X", "Y"))
+    mode.add_argument("--construct", metavar="FILE")
+    mode.add_argument("--roundtrip", action="store_true")
     p_codec.add_argument("--l", type=int, default=None)
     p_codec.add_argument("--a", type=int, default=None)
     p_codec.add_argument("--b", type=int, default=None)

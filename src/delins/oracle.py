@@ -1,6 +1,7 @@
 """Brute-force ground truth: conflict graphs, exact maximum code search,
-weighted-congruence single-deletion codes, and exhaustive checks for every
-combinatorial claim used by the bound formulas.
+weighted-congruence single-deletion codes, the packing bound (one orbit
+tally of the output counts) and exhaustive checks for every combinatorial
+claim used by the bound formulas.
 
 Everything here is exact at desk scale.  Results above the configured caps
 are errors, never approximations; a timed-out search returns its incumbent
@@ -31,7 +32,7 @@ from delins.qstrings import (
     check_alphabet,
     format_qary,
     non_alternating_strings,
-    orbit_representatives,
+    orbit_tally,
     string_of,
     string_stats,
     symmetry_orbits,
@@ -309,30 +310,22 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
     each reach at least min-degree many outputs, so at most
     outputs / min-degree of them fit in a code; every atypical input is
     counted in full.  All quantities are exact, so unlike the asymptotic
-    formula values this is a true bound at this n.  Run counts, alternating
-    intervals and output counts are invariant under reversal and symbol
-    permutations, so the minimum is taken over orbit representatives only.
+    formula values this is a true bound at this n.  One orbit tally counts
+    the inputs per output count, every atypical input under None.
     """
     ch.check_channel(n, a, b)
-    split = bnd.typicality_split(q, n, a, b, cap)
-    if split.typical is None:
+    split = bnd.typicality_split(q, n, a, b)
+    if q ** n > cap:
         raise CapExceededError("packing bound enumeration", q ** n, cap)
-    atypical = q ** n - split.typical
-    if split.typical == 0:
+
+    def degree(x: Qstr) -> int | None:
+        return len(ch.output_ranks(x, a, b, q)) if split.is_typical(string_stats(x)) else None
+
+    tally = orbit_tally(q, n, degree)
+    atypical = tally.pop(None, 0)
+    if not tally:
         return q ** n
-    min_degree: int | None = None
-    for x, _ in orbit_representatives(q, n):
-        if not split.is_typical(string_stats(x)):
-            continue
-        degree = len(ch.output_ranks(x, a, b, q))
-        if min_degree is None or degree < min_degree:
-            min_degree = degree
-    if min_degree is None:
-        raise RuntimeError(
-            f"packing bound at q={q} n={n} a={a} b={b}: the typicality split counts "
-            f"{split.typical} typical inputs but the scan found none"
-        )
-    return q ** (n - a + b) // min_degree + atypical
+    return q ** (n - a + b) // min(tally) + atypical
 
 
 @dataclass(frozen=True)
@@ -356,12 +349,13 @@ class VerifyCaps:
     graph_l: int = 5
     codec_l: int = 6
     interval_length: int = 5
-    max_s: int = 2
     cap: int = DEFAULT_CAP
 
 
-# Longest suffix appended to both sides of an insert step by the inversion
-# check, and the eps values at which the run-count check compares.
+# Most errors a + b of any split the sweep checks, the longest suffix
+# appended to both sides of an insert step by the inversion check, and the
+# eps values at which the run-count check compares.
+MAX_S = 2
 SUFFIX_LENGTH = 2
 EPS_GRID = (0.1, 0.2, 0.3, 0.5)
 
@@ -407,7 +401,7 @@ def _check_channel_equivalence(q: int, caps: VerifyCaps) -> tuple[int, str | Non
     limit = min(caps.pair_length, caps.max_n)
     instances = 0
     for n in range(1, limit + 1):
-        for a, b in _splits(min(caps.max_s, n)):
+        for a, b in _splits(min(MAX_S, n)):
             witness = ch.channel_equivalence_counterexample(q, n, a, b, caps.cap)
             instances += q ** (2 * n)
             if witness is not None:
@@ -425,7 +419,7 @@ def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.graph_l, caps.max_n)
     instances = 0
     for l in range(1, limit + 1):
-        for a, b in _splits(caps.max_s):
+        for a, b in _splits(MAX_S):
             edges = ch.build_channel_graph(q, l, a, b, caps.cap).edge_count
             constructable, upper = edge_sandwich(q, l, a, b)
             instances += 1
@@ -470,7 +464,7 @@ def _check_roundtrip(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     limit = min(caps.codec_l, caps.max_n)
     instances = 0
     for l in range(1, limit + 1):
-        for a, b in _splits(caps.max_s):
+        for a, b in _splits(MAX_S):
             count, failure = cdc.roundtrip_counterexample(q, l, a, b, caps.cap)
             instances += count
             if failure is not None:
@@ -484,7 +478,7 @@ def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None
     for n in range(1, limit + 1):
         for x in all_strings(q, n):
             stats = string_stats(x)
-            for a, b in _splits(min(caps.max_s, n)):
+            for a, b in _splits(min(MAX_S, n)):
                 instances += 1
                 lower = bnd.degree_lower_bound(q, n, stats.runs, stats.longest_alternating, a, b)
                 actual = len(ch.output_ranks(x, a, b, q))

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple
 
 Qstr = tuple[int, ...]
 
@@ -91,11 +91,20 @@ def symmetry_orbits(q: int, n: int) -> list[int]:
 
 def orbit_representatives(q: int, n: int) -> list[tuple[Qstr, int]]:
     """(smallest string, orbit size) of every orbit of symmetry_orbits(q, n),
-    in rank order: a statistic invariant under the group, summed over these
-    with the sizes as weights, is its sum over [q]^n."""
+    in rank order, for orbit_tally."""
     # an orbit id is first met at its own rank, so the counts come in rank order
     sizes = Counter(symmetry_orbits(q, n))
     return [(string_of(r, q, n), size) for r, size in sizes.items()]
+
+
+def orbit_tally(q: int, n: int, key: Callable[[Qstr], Hashable]) -> Counter:
+    """Strings of [q]^n per value of key: key is called once per orbit
+    representative, counted with the orbit size.  key must be invariant
+    under reversal and the symbol permutations."""
+    tally: Counter = Counter()
+    for x, size in orbit_representatives(q, n):
+        tally[key(x)] += size
+    return tally
 
 
 def format_qary(x: Qstr, q: int) -> str:

@@ -66,7 +66,7 @@ def test_criterion_01_roundtrip_full_range():
     total = 0
     for q in (2, 3):
         # l = 1..8, every split with at most two errors
-        check = orc.run_check("roundtrip", q, orc.VerifyCaps(max_n=8, codec_l=8, max_s=2))
+        check = orc.run_check("roundtrip", q, orc.VerifyCaps(max_n=8, codec_l=8))
         assert check.passed, check.counterexample
         total += check.instances
     assert total > 200_000

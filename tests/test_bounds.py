@@ -162,56 +162,47 @@ class TestOptimalB:
                     assert gain >= math.exp(b - 1) / math.sqrt(b) - 1e-9
 
 
+def class_sizes(q, n, split):
+    """(typical, long alternating, few runs), each counted over all of [q]^n."""
+    strings = list(qs.all_strings(q, n))
+    long_alt = [qs.longest_alternating_interval(x) >= split.alt_cutoff for x in strings]
+    few = [qs.run_count(x) <= split.run_cutoff for x in strings]
+    return sum(not (a or f) for a, f in zip(long_alt, few)), sum(long_alt), sum(few)
+
+
 class TestTypicalitySplit:
     def test_cutoff_exceeding_length_empties_alternating_class(self):
         split = bnd.typicality_split(2, 8, 1, 0)
         assert split.c_threshold == pytest.approx(9.0)
         assert split.alt_cutoff == 9
-        assert split.long_alternating == 0
+        assert class_sizes(2, 8, split)[1] == 0
 
     def test_classes_cover_space(self):
         for q, n, a, b in [(2, 6, 1, 0), (2, 8, 1, 1), (3, 5, 1, 0)]:
-            split = bnd.typicality_split(q, n, a, b)
-            assert split.typical + split.long_alternating + split.few_runs >= q ** n
+            typical, long_alt, few = class_sizes(q, n, bnd.typicality_split(q, n, a, b))
+            assert typical + long_alt + few >= q ** n
 
     def test_class_sizes_respect_bounds(self):
         for q, n, a, b in [(2, 7, 1, 0), (2, 9, 1, 1), (3, 5, 0, 1)]:
             split = bnd.typicality_split(q, n, a, b)
+            _, long_alt, few = class_sizes(q, n, split)
             if 2 <= split.alt_cutoff <= n:
-                assert split.long_alternating <= bnd.alternating_interval_bound(
-                    q, n, split.alt_cutoff
-                )
+                assert long_alt <= bnd.alternating_interval_bound(q, n, split.alt_cutoff)
             limit = bnd.few_runs_bound(q, n, split.eps)
-            assert split.few_runs <= limit + 1e-12 * max(1.0, limit)
+            assert few <= limit + 1e-12 * max(1.0, limit)
 
     def test_alternating_cutoff_is_exact_and_agrees_with_float_formula(self):
         # least c with q**c >= n**(s+2), against ceil((s+2) log_q n) in floats
         for q in range(2, 17):
             for n in range(2, 400):
                 for s in range(12):
-                    c = bnd.typicality_split(q, n, s, 0, cap=0).alt_cutoff
+                    c = bnd.typicality_split(q, n, s, 0).alt_cutoff
                     target = n ** (s + 2)
                     assert q ** c >= target and (c == 0 or q ** (c - 1) < target)
                     assert c == math.ceil((s + 2) * math.log(n, q) - bnd.FLOAT_GUARD), (q, n, s)
 
-    def test_class_sizes_equal_a_full_scan(self):
-        # typicality_split weights orbit representatives; this classifies every string
-        for q, max_n in ((2, 9), (3, 5), (4, 4)):
-            for n in range(2, max_n + 1):
-                for a, b in ((1, 0), (1, 1), (0, 2)):
-                    split = bnd.typicality_split(q, n, a, b)
-                    long_alt = few = typical = 0
-                    for x in qs.all_strings(q, n):
-                        is_long_alt = qs.longest_alternating_interval(x) >= split.alt_cutoff
-                        is_few = qs.run_count(x) <= split.run_cutoff
-                        long_alt += is_long_alt
-                        few += is_few
-                        typical += not (is_long_alt or is_few)
-                    got = (split.typical, split.long_alternating, split.few_runs)
-                    assert got == (typical, long_alt, few), (q, n, a, b)
-
     def test_is_typical_boundaries(self):
-        split = bnd.typicality_split(2, 100, 1, 0, cap=0)
+        split = bnd.typicality_split(2, 100, 1, 0)
         alt, runs = split.alt_cutoff, split.run_cutoff
         assert not split.is_typical(qs.StringStats(runs=runs + 1, longest_alternating=alt))
         assert not split.is_typical(qs.StringStats(runs=runs, longest_alternating=alt - 1))
@@ -219,13 +210,7 @@ class TestTypicalitySplit:
 
     def test_one_rule_serves_the_split_and_the_packing_bound(self, monkeypatch):
         monkeypatch.setattr(bnd.TypicalitySplit, "is_typical", lambda self, stats: False)
-        assert bnd.typicality_split(2, 8, 1, 0).typical == 0
         assert orc.packing_code_bound(2, 8, 1, 0) == 2 ** 8
-
-    def test_sizes_omitted_above_cap(self):
-        split = bnd.typicality_split(2, 10, 1, 0, cap=100)
-        assert split.typical is None
-        assert split.eps > 0
 
     def test_rejects_tiny_length(self):
         with pytest.raises(ValueError):
@@ -257,14 +242,11 @@ class TestAverageDegree:
         # average_degree weights orbit representatives; this builds every output set
         for q, max_n in ((2, 7), (3, 4)):
             for n in range(max_n + 1):
-                for s in range(3):
-                    for a in range(min(s, n) + 1):
-                        total = sum(
-                            len(ch.channel_output_set(x, a, s - a, q))
-                            for x in qs.all_strings(q, n)
-                        )
-                        want = Fraction(total, q ** n)
-                        assert bnd.average_degree(q, n, a, s - a).average == want, (q, n, a)
+                strings = list(qs.all_strings(q, n))
+                for a, b in [(a, s - a) for s in range(3) for a in range(min(s, n) + 1)]:
+                    total = sum(len(ch.channel_output_set(x, a, b, q)) for x in strings)
+                    want = Fraction(total, q ** n)
+                    assert bnd.average_degree(q, n, a, b).average == want, (q, n, a)
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):

@@ -177,10 +177,7 @@ class TestInsertionRanks:
         cases = [((0, 1, 1, 0, 2, 2, 1), a, b) for a in range(4) for b in range(2)]
         expected = [ch.output_ranks(x, a, b, 3) for x, a, b in cases]
 
-        def refuse(x, s):
-            raise AssertionError("deletion_set called")
-
-        monkeypatch.setattr(ch, "deletion_set", refuse)
+        monkeypatch.setattr(ch, "deletion_set", lambda *args: pytest.fail("deletion_set called"))
         assert [ch.output_ranks(x, a, b, 3) for x, a, b in cases] == expected
 
     def test_output_ranks_rejects_overlong_deletion(self):
@@ -196,11 +193,10 @@ class TestOrbitDegrees:
         for n in range(max_n + 1):
             orbit_of = qs.symmetry_orbits(q, n)
             strings = list(qs.all_strings(q, n))
-            for s in range(3):
-                for a in range(min(s, n) + 1):
-                    counts = [len(ch.output_ranks(x, a, s - a, q)) for x in strings]
-                    for rank, orbit in enumerate(orbit_of):
-                        assert counts[rank] == counts[orbit], (q, n, a, s - a, rank)
+            for a, b in [(a, s - a) for s in range(3) for a in range(min(s, n) + 1)]:
+                counts = [len(ch.output_ranks(x, a, b, q)) for x in strings]
+                for rank, orbit in enumerate(orbit_of):
+                    assert counts[rank] == counts[orbit], (q, n, a, b, rank)
 
     def test_histogram_counts_every_input_by_its_output_count(self):
         for q, l, a, b in [(2, 5, 2, 0), (2, 4, 1, 1), (3, 3, 0, 2), (3, 2, 2, 1), (2, 0, 2, 1)]:
@@ -211,10 +207,7 @@ class TestOrbitDegrees:
             assert ch.build_channel_graph(q, l, a, b).degree_histogram() == want, (q, l, a, b)
 
     def test_histogram_cap_and_arguments_checked_before_enumeration(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("enumerated")
-
-        monkeypatch.setattr(ch, "orbit_representatives", refuse)
+        monkeypatch.setattr(ch, "orbit_tally", lambda *args: pytest.fail("enumerated"))
         with pytest.raises(CapExceededError) as err:
             ch.degree_histogram(2, 30, 1, 1, cap=1 << 10)
         assert err.value.required == 2 ** 31 + 2 ** 31

@@ -222,11 +222,8 @@ class TestGraph:
         assert code == 3
 
     def test_cap_exit_three_before_any_enumeration(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("enumerated past the cap")
-
-        for name in ("orbit_representatives", "output_ranks", "all_strings", "insertion_ranks"):
-            monkeypatch.setattr(ch, name, refuse)
+        for name in ("orbit_tally", "output_ranks", "all_strings", "insertion_ranks"):
+            monkeypatch.setattr(ch, name, lambda *args: pytest.fail("enumerated past the cap"))
         code, out, err = run_cli(capsys, "graph", "--q", "2", "--l", "30", "--a", "1", "--b", "1")
         assert (code, out) == (3, "")
         assert err.startswith("cap exceeded: channel graph vertex enumeration")
@@ -251,10 +248,9 @@ class TestGraph:
     }
 
     def test_stats_without_building_the_graph(self, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("build_channel_graph called without --export")
-
-        monkeypatch.setattr(ch, "build_channel_graph", refuse)
+        monkeypatch.setattr(
+            ch, "build_channel_graph", lambda *args: pytest.fail("graph built without --export")
+        )
         for (q, l, a, b), text in self.FULL_STDOUT.items():
             code, out, _ = run_cli(capsys, "graph", "--q", q, "--l", l, "--a", a, "--b", b)
             assert (code, out) == (0, text)
@@ -429,6 +425,15 @@ class TestCodec:
     def test_codec_without_action_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "codec")
         assert code == 2
+
+    @pytest.mark.parametrize("modes", [
+        "--deconstruct 00100 0000 --roundtrip",
+        "--deconstruct 00100 0000 --construct params.txt",
+        "--construct params.txt --roundtrip",
+    ])
+    def test_codec_takes_one_mode(self, capsys, modes):
+        code, out, _ = run_cli(capsys, "codec", *modes.split(), "--l", "6", "--a", "1", "--b", "1")
+        assert (code, out) == (2, "")
 
 
 class TestUnopenablePath:

@@ -67,3 +67,21 @@ def test_every_public_definition_is_used_outside_the_tests():
                 if not name.startswith("_") and name not in referenced
             }
     assert unreferenced == UNREFERENCED_ON_PURPOSE
+
+
+def test_every_imported_name_is_read():
+    # a stale import would count as a use above; noqa: F401 keeps one on purpose
+    package = Path(delins.__file__).parent
+    for path in sorted(p for p in package.glob("*.py") if p.name != "__init__.py"):
+        lines = path.read_text().splitlines()
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for n in nodes
+            if isinstance(n, (ast.Import, ast.ImportFrom))
+            and getattr(n, "module", None) != "__future__"
+            and "# noqa: F401" not in lines[n.lineno - 1]
+            for alias in n.names
+        }
+        assert imported <= read, (path.name, imported - read)

@@ -136,10 +136,7 @@ class TestConflictGraph:
 
     def test_build_and_search_rows_build_no_deletion_set(self, monkeypatch):
         # both take their groups from the insertion balls of the shorter strings
-        def refuse(x, s):
-            raise AssertionError("deletion_set called")
-
-        monkeypatch.setattr(ch, "deletion_set", refuse)
+        monkeypatch.setattr(ch, "deletion_set", lambda *args: pytest.fail("deletion_set called"))
         graph = orc.build_conflict_graph(2, 6, 2)
         search = orc._CodeSearch(graph)
         assert graph.conflict_count > 0
@@ -249,11 +246,10 @@ class TestPackingBound:
         with_typical = 0
         for q, max_n in ((2, 9), (3, 5), (4, 4)):
             for n in range(2, max_n + 1):
-                for s in range(3):
-                    for a in range(min(s, n) + 1):
-                        want = packing_bound_full_scan(q, n, a, s - a)
-                        assert orc.packing_code_bound(q, n, a, s - a) == want, (q, n, a, s - a)
-                        with_typical += want != q ** n
+                for a, b in [(a, s - a) for s in range(3) for a in range(min(s, n) + 1)]:
+                    want = packing_bound_full_scan(q, n, a, b)
+                    assert orc.packing_code_bound(q, n, a, b) == want, (q, n, a, b)
+                    with_typical += want != q ** n
         assert with_typical >= 20
 
     def test_benchmark_pins(self):
@@ -272,21 +268,15 @@ class TestPackingBound:
 
     @pytest.mark.parametrize("a,b", [(-1, 0), (1, -2), (5, 0)])
     def test_rejects_invalid_channel_before_enumerating(self, monkeypatch, a, b):
-        def refuse(q, n):
-            raise AssertionError("orbit_representatives called")
-
-        monkeypatch.setattr(orc, "orbit_representatives", refuse)
-        monkeypatch.setattr(bnd, "orbit_representatives", refuse)
+        monkeypatch.setattr(orc, "orbit_tally", lambda *args: pytest.fail("enumerated"))
         with pytest.raises(ValueError, match=f"invalid channel parameters a={a}, b={b} for length 4"):
             orc.packing_code_bound(2, 4, a, b)
 
-    def test_no_typical_input_found_is_an_error(self, monkeypatch):
-        # the split counts typical inputs, but the scan is made to see none
-        monkeypatch.setattr(
-            orc, "string_stats", lambda x: qs.StringStats(runs=len(x), longest_alternating=10 ** 6)
-        )
-        with pytest.raises(RuntimeError, match="q=2 n=6 a=1 b=0"):
-            orc.packing_code_bound(2, 6, 1, 0)
+    def test_cap_exceeded_before_enumerating(self, monkeypatch):
+        monkeypatch.setattr(orc, "orbit_tally", lambda *args: pytest.fail("enumerated"))
+        with pytest.raises(CapExceededError) as err:
+            orc.packing_code_bound(2, 20, 1, 1, cap=1 << 10)
+        assert err.value.required == 2 ** 20
 
 
 class TestFormulaValueTracking:

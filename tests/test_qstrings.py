@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from delins import channels as ch
 from delins import qstrings as qs
 
 
@@ -61,8 +63,17 @@ class TestSymmetryOrbits:
             assert sum(size for _, size in want) == q ** n
 
     @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
+    def test_orbit_tally_equals_a_full_scan(self, q, max_n):
+        for n in range(max_n + 1):
+            splits = [(a, s - a) for s in range(3) for a in range(min(s, n) + 1)]
+            keys = [lambda x, a=a, b=b: len(ch.output_ranks(x, a, b, q)) for a, b in splits]
+            for key in [qs.string_stats] + keys:
+                want = Counter(key(x) for x in qs.all_strings(q, n))
+                assert qs.orbit_tally(q, n, key) == want, (q, n)
+
+    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
     def test_string_stats_are_constant_on_every_orbit(self, q, max_n):
-        # typicality_split and the packing bound classify orbit representatives only
+        # the packing bound classifies orbit representatives only
         for n in range(max_n + 1):
             orbit_of = qs.symmetry_orbits(q, n)
             stats = [qs.string_stats(x) for x in qs.all_strings(q, n)]
