@@ -7,18 +7,15 @@ desk scale.
 """
 
 from delins.bounds import (
-    AverageDegree,
     BoundReport,
     TypicalitySplit,
     alternating_interval_bound,
-    average_degree,
     bound_report,
     degree_lower_bound,
     edge_count_upper,
     few_runs_bound,
     generalized_code_bound,
     improvement_factor,
-    insertion_code_bound,
     optimal_b,
     typicality_split,
 )
@@ -63,13 +60,11 @@ from delins.oracle import (
 from delins.qstrings import (
     Qstr,
     alternating_count,
-    composition_count,
     enumerate_compositions,
     insertion_count,
     is_alternating,
     longest_alternating_interval,
     run_count,
-    runs_distribution,
 )
 
 __version__ = "0.1.0"

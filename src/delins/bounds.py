@@ -13,21 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
-
-from delins.channels import DEFAULT_CAP, check_channel, output_count_bound, output_ranks
+from typing import Iterable, Iterator
 
 # Not used here: it stays importable as delins.bounds.channel_output_set, the
 # name-bound import that perfbench's tracer test checks is traced.
 from delins.channels import channel_output_set  # noqa: F401
-from delins.errors import CapExceededError
-from delins.qstrings import (
-    StringStats,
-    binomial,
-    check_alphabet,
-    insertion_count,
-    orbit_tally,
-)
+from delins.qstrings import StringStats, binomial, check_alphabet, insertion_count
 
 # Tolerance when turning real-valued thresholds into integer cutoffs.
 FLOAT_GUARD = 1e-9
@@ -91,7 +82,8 @@ def generalized_code_bound(q: int, n: int, a: int, b: int) -> Fraction:
     correct a deletions and b insertions: q^(n+b) over
     (q-1)^s binom(n, s) binom(s, b), with s = a + b.
 
-    At b = 0 this is Levenshtein's deletion-channel bound.
+    At b = 0 this is Levenshtein's deletion-channel bound, at a = 0 the
+    insertion-channel bound.
     """
     check_alphabet(q)
     if a < 0 or b < 0:
@@ -100,15 +92,6 @@ def generalized_code_bound(q: int, n: int, a: int, b: int) -> Fraction:
     if s > n:
         raise ValueError(f"need a + b <= n, got {s} > {n}")
     return Fraction(q ** (n + b), (q - 1) ** s * binomial(n, s) * binomial(s, b))
-
-
-def insertion_code_bound(q: int, n: int, s: int) -> Fraction:
-    """Packing bound from the pure-insertion channel:
-    q^(n+s) over binom(n, s) (q-1)^s."""
-    check_alphabet(q)
-    if not 0 <= s <= n:
-        raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
-    return Fraction(q ** (n + s), binomial(n, s) * (q - 1) ** s)
 
 
 def optimal_b(q: int, s: int) -> int:
@@ -137,14 +120,8 @@ class TypicalitySplit:
     the atypical classes (they may overlap); everything else is typical.
     """
 
-    q: int
-    n: int
-    a: int
-    b: int
-    c_threshold: float  # alternating-interval length cutoff, (s+2) log_q n
-    eps: float  # run-count concentration radius, sqrt((s+1) ln n / (2(n-1)))
-    alt_cutoff: int  # cutoff actually used: least c with q**c >= n**(s+2)
-    run_cutoff: int  # integer cutoff actually used: floor of the run threshold
+    alt_cutoff: int  # least c with q**c >= n**(s+2), i.e. ceil((s+2) log_q n)
+    run_cutoff: int  # few_runs_cutoff at radius sqrt((s+1) ln n / (2(n-1)))
 
     def is_typical(self, stats: StringStats) -> bool:
         """Typical: every alternating interval is shorter than alt_cutoff and
@@ -155,44 +132,20 @@ class TypicalitySplit:
 def typicality_split(q: int, n: int, a: int, b: int) -> TypicalitySplit:
     """Compute the typicality thresholds.
 
-    The alternating cutoff is ceil(c_threshold) in exact integers: the least
-    c >= 0 with q**c >= n**(s+2).  The run-count radius uses the natural log;
-    few_runs_cutoff turns it into the run-count cutoff.
+    The alternating cutoff is ceil((s+2) log_q n) in exact integers: the
+    least c >= 0 with q**c >= n**(s+2).  The run-count radius uses the
+    natural log; few_runs_cutoff turns it into the run-count cutoff.
     """
     check_alphabet(q)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     s = a + b
-    c_threshold = (s + 2) * math.log(n, q)
     eps = math.sqrt((s + 1) * math.log(n) / (2 * (n - 1)))
     alt_cutoff, power, target = 0, 1, n ** (s + 2)
     while power < target:
         alt_cutoff += 1
         power *= q
-    run_cutoff = few_runs_cutoff(q, n, eps)
-    return TypicalitySplit(q, n, a, b, c_threshold, eps, alt_cutoff, run_cutoff)
-
-
-class AverageDegree(NamedTuple):
-    average: Fraction
-    asymptote: Fraction
-    ratio: Fraction | None  # None when the asymptote is zero
-
-
-def average_degree(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> AverageDegree:
-    """Exact average output count over [q]^n, with the asymptotic expression
-    binom(n, s) binom(s, a) (q-1)^s / q^a and their ratio for trend reports."""
-    check_alphabet(q)
-    check_channel(n, a, b)
-    work = q ** n * output_count_bound(q, n, a, b)
-    if work > cap:
-        raise CapExceededError("average degree enumeration", work, cap)
-    histogram = orbit_tally(q, n, lambda x: len(output_ranks(x, a, b, q)))
-    total = sum(degree * count for degree, count in histogram.items())
-    avg = Fraction(total, q ** n)
-    s = a + b
-    asym = Fraction(binomial(n, s) * binomial(s, a) * (q - 1) ** s, q ** a)
-    return AverageDegree(avg, asym, avg / asym if asym else None)
+    return TypicalitySplit(alt_cutoff, few_runs_cutoff(q, n, eps))
 
 
 @dataclass(frozen=True)
@@ -212,7 +165,8 @@ class BoundReport:
 
 
 def bound_report(q: int, n: int, s: int, b: int) -> BoundReport:
-    """Report row for a given total error count s split as (s - b, b)."""
+    """Report row for a given total error count s split as (s - b, b); the
+    levenshtein and insertion_bound cells are its endpoints b = 0 and a = 0."""
     if not 0 <= b <= s:
         raise ValueError(f"need 0 <= b <= s, got b={b}, s={s}")
     if s > n:
@@ -226,7 +180,7 @@ def bound_report(q: int, n: int, s: int, b: int) -> BoundReport:
         s=s,
         levenshtein=generalized_code_bound(q, n, s, 0),
         generalized=generalized_code_bound(q, n, s - b, b),
-        insertion_bound=insertion_code_bound(q, n, s),
+        insertion_bound=generalized_code_bound(q, n, 0, s),
         best_b=best,
         improvement=improvement_factor(q, s, best),
     )

@@ -423,5 +423,5 @@ def channel_equivalence_counterexample(
     return None
 
 
-def check_channel_equivalence(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> bool:
-    return channel_equivalence_counterexample(q, n, a, b, cap) is None
+def check_channel_equivalence(q: int, n: int, a: int, b: int) -> bool:
+    return channel_equivalence_counterexample(q, n, a, b) is None

@@ -140,7 +140,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     graph = orc.build_conflict_graph(args.q, args.n, args.s, args.cap)
-    cert = orc.max_code_exact(graph, time_limit=args.time_limit, cap=args.cap)
+    cert = orc.max_code_exact(graph, time_limit=args.time_limit)
     kind = "maximum" if cert.exact else "lower bound (search timed out)"
     print(f"q={args.q} n={args.n} s={args.s}")
     print(f"code_size={cert.size} ({kind}, verified={str(cert.verified).lower()})")
@@ -160,9 +160,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 def _read_parameter_file(path: str, q: int) -> tuple[cdc.Qstr, tuple[cdc.InsertTriple, ...]]:
     with open(path, encoding="utf-8") as fp:
         lines = [line.strip() for line in fp if line.strip()]
-    if not lines or not lines[0].startswith("z0"):
+    first = lines[0].split() if lines else []
+    if not 1 <= len(first) <= 2 or first[0] != "z0":
         raise ValueError("parameter file must start with a 'z0 <string>' line")
-    first = lines[0].split()
     z0 = parse_qary(first[1], q) if len(first) > 1 else ()
     triples = []
     for line in lines[1:]:

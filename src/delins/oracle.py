@@ -260,18 +260,12 @@ class _CodeSearch:
                     skip |= mates[v]
 
 
-def max_code_exact(
-    graph: ConflictGraph,
-    time_limit: float | None = None,
-    cap: int = SEARCH_CAP,
-) -> CodeCertificate:
+def max_code_exact(graph: ConflictGraph, time_limit: float | None = None) -> CodeCertificate:
     """Maximum independent set in the conflict graph, re-verified pairwise.
 
     Deterministic branch and bound with a greedy warm start.  On timeout the
     incumbent is returned with exact=False (a verified lower bound only).
     """
-    if graph.size > cap:
-        raise CapExceededError("maximum code search", graph.size, cap)
     search = _CodeSearch(graph)
     best_mask, completed = search.run(time_limit)
     ranks = sorted(search.order[v] for v in range(search.size) if best_mask >> v & 1)
@@ -303,7 +297,7 @@ def best_vt_size(n: int) -> int:
     return max(vt_code(n, r).size for r in range(n + 1))
 
 
-def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -> int:
+def packing_code_bound(q: int, n: int, a: int, b: int) -> int:
     """Certified finite-length code size bound from the packing argument.
 
     Typical inputs (no long alternating interval, near-average run count)
@@ -315,8 +309,8 @@ def packing_code_bound(q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP) -
     """
     ch.check_channel(n, a, b)
     split = bnd.typicality_split(q, n, a, b)
-    if q ** n > cap:
-        raise CapExceededError("packing bound enumeration", q ** n, cap)
+    if q ** n > DEFAULT_CAP:
+        raise CapExceededError("packing bound enumeration", q ** n, DEFAULT_CAP)
 
     def degree(x: Qstr) -> int | None:
         return len(ch.output_ranks(x, a, b, q)) if split.is_typical(string_stats(x)) else None

@@ -222,13 +222,6 @@ def enumerate_compositions(t: int, l: int, k: int) -> Iterator[tuple[int, ...]]:
     return rec(t, l)
 
 
-def composition_count(t: int, l: int, k: int) -> int:
-    """Closed form for the number of t-part compositions of l with parts >= k."""
-    if t < 1:
-        raise ValueError(f"need at least one part, got t={t}")
-    return binomial(l + (1 - k) * t - 1, t - 1)
-
-
 def insertion_count(q: int, s: int, n: int) -> int:
     """Number of length-n superstrings of any string of length n - s.
 
@@ -239,13 +232,3 @@ def insertion_count(q: int, s: int, n: int) -> int:
     if s < 0 or n < 0:
         raise ValueError(f"need s >= 0 and n >= 0, got s={s}, n={n}")
     return sum(binomial(n, i) * (q - 1) ** i for i in range(s + 1))
-
-
-def runs_distribution(q: int, n: int, r: int) -> int:
-    """Number of strings in [q]^n with exactly r runs; 0 outside 1 <= r <= n."""
-    check_alphabet(q)
-    if n < 1:
-        raise ValueError(f"length must be positive, got {n}")
-    if not 1 <= r <= n:
-        return 0
-    return q * binomial(n - 1, r - 1) * (q - 1) ** (r - 1)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from delins import bounds as bnd
 from delins import channels as ch
 from delins import oracle as orc
 from delins import qstrings as qs
-from delins.errors import CapExceededError
+
+from closed_forms import runs_distribution
 
 
 class TestEdgeCountUpper:
@@ -86,7 +88,7 @@ class TestFewRunsBound:
 
     def test_worked_comparison(self):
         # length 10, eps 0.2: strings with at most 3 runs
-        count = sum(qs.runs_distribution(2, 10, r) for r in (1, 2, 3))
+        count = sum(runs_distribution(2, 10, r) for r in (1, 2, 3))
         assert count == 92
         assert count <= bnd.few_runs_bound(2, 10, 0.2)
 
@@ -112,18 +114,23 @@ class TestCodeBounds:
         assert gen / lev == Fraction(2, 3)
 
     def test_insertion_bound(self):
-        assert bnd.insertion_code_bound(2, 10, 1) == Fraction(2048, 10)
-        assert bnd.insertion_code_bound(3, 6, 0) == 3 ** 6
+        assert bnd.generalized_code_bound(2, 10, 0, 1) == Fraction(2048, 10)
+        assert bnd.generalized_code_bound(3, 6, 0, 0) == 3 ** 6
 
     def test_ratio_law(self):
+        # the insertion endpoint is q^s times the deletion endpoint
         for q in (2, 3, 4):
             for n in range(1, 12):
                 for s in range(0, n + 1):
-                    assert bnd.insertion_code_bound(q, n, s) == q ** s * bnd.generalized_code_bound(q, n, s, 0)
+                    insertion = bnd.generalized_code_bound(q, n, 0, s)
+                    assert insertion == q ** s * bnd.generalized_code_bound(q, n, s, 0)
 
     def test_generalized_at_full_insertion_matches_insertion_bound(self):
+        # the report's insertion column against q^(n+s) / (binom(n, s) (q-1)^s)
         for q, n, s in [(2, 8, 2), (3, 9, 3), (2, 12, 4)]:
-            assert bnd.generalized_code_bound(q, n, 0, s) == bnd.insertion_code_bound(q, n, s)
+            want = Fraction(q ** (n + s), math.comb(n, s) * (q - 1) ** s)
+            for b in range(s + 1):
+                assert bnd.bound_report(q, n, s, b).insertion_bound == want, (q, n, s, b)
 
     def test_rejects_too_many_errors(self):
         with pytest.raises(ValueError):
@@ -173,7 +180,6 @@ def class_sizes(q, n, split):
 class TestTypicalitySplit:
     def test_cutoff_exceeding_length_empties_alternating_class(self):
         split = bnd.typicality_split(2, 8, 1, 0)
-        assert split.c_threshold == pytest.approx(9.0)
         assert split.alt_cutoff == 9
         assert class_sizes(2, 8, split)[1] == 0
 
@@ -185,10 +191,12 @@ class TestTypicalitySplit:
     def test_class_sizes_respect_bounds(self):
         for q, n, a, b in [(2, 7, 1, 0), (2, 9, 1, 1), (3, 5, 0, 1)]:
             split = bnd.typicality_split(q, n, a, b)
+            eps = math.sqrt((a + b + 1) * math.log(n) / (2 * (n - 1)))
+            assert split.run_cutoff == bnd.few_runs_cutoff(q, n, eps)
             _, long_alt, few = class_sizes(q, n, split)
             if 2 <= split.alt_cutoff <= n:
                 assert long_alt <= bnd.alternating_interval_bound(q, n, split.alt_cutoff)
-            limit = bnd.few_runs_bound(q, n, split.eps)
+            limit = bnd.few_runs_bound(q, n, eps)
             assert few <= limit + 1e-12 * max(1.0, limit)
 
     def test_alternating_cutoff_is_exact_and_agrees_with_float_formula(self):
@@ -218,39 +226,33 @@ class TestTypicalitySplit:
 
 
 class TestAverageDegree:
+    """The average degree over [q]^n is the edge count over q^n, from
+    channels.degree_histogram(q, n - a, a, b): degree_avg of delins graph."""
+
     def test_identity_channel(self):
-        result = bnd.average_degree(2, 5, 0, 0)
-        assert result.average == 1 and result.asymptote == 1 and result.ratio == 1
+        assert ch.degree_histogram(2, 5, 0, 0) == {1: 32}
 
     def test_single_deletion_average_is_average_run_count(self):
         # |outputs| under one deletion equals the run count
         for n in (4, 6):
-            result = bnd.average_degree(2, n, 1, 0)
-            expected = Fraction(
-                sum(qs.run_count(x) for x in qs.all_strings(2, n)), 2 ** n
-            )
-            assert result.average == expected
+            runs = Counter(qs.run_count(x) for x in qs.all_strings(2, n))
+            assert ch.degree_histogram(2, n - 1, 1, 0) == runs
 
     def test_brute_force_cross_check_via_graph(self):
         # the left degrees of the (n-1, 1, 1) graph are exactly the outputs
         n = 6
-        result = bnd.average_degree(2, n, 1, 1)
+        histogram = ch.degree_histogram(2, n - 1, 1, 1)
         graph = ch.build_channel_graph(2, n - 1, 1, 1)
-        assert result.average == Fraction(graph.edge_count, 2 ** n)
+        assert sum(degree * count for degree, count in histogram.items()) == graph.edge_count
 
     def test_equals_a_full_scan(self):
-        # average_degree weights orbit representatives; this builds every output set
+        # degree_histogram weights orbit representatives; this builds every output set
         for q, max_n in ((2, 7), (3, 4)):
             for n in range(max_n + 1):
                 strings = list(qs.all_strings(q, n))
                 for a, b in [(a, s - a) for s in range(3) for a in range(min(s, n) + 1)]:
-                    total = sum(len(ch.channel_output_set(x, a, b, q)) for x in strings)
-                    want = Fraction(total, q ** n)
-                    assert bnd.average_degree(q, n, a, b).average == want, (q, n, a)
-
-    def test_cap_guard(self):
-        with pytest.raises(CapExceededError):
-            bnd.average_degree(2, 18, 1, 1, cap=1 << 10)
+                    want = Counter(len(ch.channel_output_set(x, a, b, q)) for x in strings)
+                    assert ch.degree_histogram(q, n - a, a, b) == want, (q, n, a, b)
 
 
 class TestBoundReport:

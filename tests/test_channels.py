@@ -188,8 +188,7 @@ class TestInsertionRanks:
 class TestOrbitDegrees:
     @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
     def test_output_counts_are_constant_on_every_orbit(self, q, max_n):
-        # degree_histogram, average_degree and the packing bound count orbit
-        # representatives only
+        # degree_histogram and the packing bound count orbit representatives only
         for n in range(max_n + 1):
             orbit_of = qs.symmetry_orbits(q, n)
             strings = list(qs.all_strings(q, n))
@@ -406,7 +405,7 @@ class TestChannelEquivalence:
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
-            ch.check_channel_equivalence(2, 14, 1, 1, cap=1 << 10)
+            ch.channel_equivalence_counterexample(2, 14, 1, 1, cap=1 << 10)
 
     @pytest.mark.parametrize(
         "q,n,a,b,victim",

@@ -415,6 +415,10 @@ class TestCodec:
             ("z0 00\nleft 0 00\n", "usage error: offset must be in [1, 1], got 0\n"),
             ("z0 00\nleft 1\n", "usage error: bad triple line: 'left 1' "
              "(want 'left|right offset interval')\n"),
+            ("z000\nleft 1 00\n", "usage error: parameter file must start with a "
+             "'z0 <string>' line\n"),
+            ("z0 00 11\nleft 1 00\n", "usage error: parameter file must start with a "
+             "'z0 <string>' line\n"),
         ],
     )
     def test_construct_rejects_a_bad_parameter_file(self, capsys, tmp_path, text, err):

@@ -22,16 +22,6 @@ def test_runtime_imports_only_the_standard_library():
                 assert top == "delins" or top in sys.stdlib_module_names, (path.name, name)
 
 
-# Public names no command, claim or benchmark task reaches, kept on purpose:
-# criterion 09 reads average_degree, and the tests check the enumerators
-# against the closed forms composition_count and runs_distribution.
-UNREFERENCED_ON_PURPOSE = {
-    "bounds.average_degree",
-    "qstrings.composition_count",
-    "qstrings.runs_distribution",
-}
-
-
 def _referenced_names(tree: ast.AST) -> set[str]:
     names = set()
     for node in ast.walk(tree):
@@ -66,7 +56,7 @@ def test_every_public_definition_is_used_outside_the_tests():
                 key for name, key in defined.items()
                 if not name.startswith("_") and name not in referenced
             }
-    assert unreferenced == UNREFERENCED_ON_PURPOSE
+    assert unreferenced == set()
 
 
 def test_every_imported_name_is_read():

@@ -189,11 +189,6 @@ class TestMaxCodeExact:
         assert cert.verified
         assert cert.size >= 1
 
-    def test_cap_guard(self):
-        graph = orc.build_conflict_graph(2, 6, 1)
-        with pytest.raises(CapExceededError):
-            orc.max_code_exact(graph, cap=10)
-
 
 class TestVtCode:
     def test_residue_zero_length_four(self):
@@ -275,8 +270,8 @@ class TestPackingBound:
     def test_cap_exceeded_before_enumerating(self, monkeypatch):
         monkeypatch.setattr(orc, "orbit_tally", lambda *args: pytest.fail("enumerated"))
         with pytest.raises(CapExceededError) as err:
-            orc.packing_code_bound(2, 20, 1, 1, cap=1 << 10)
-        assert err.value.required == 2 ** 20
+            orc.packing_code_bound(2, 23, 1, 1)
+        assert err.value.required == 2 ** 23
 
 
 class TestFormulaValueTracking:

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from delins import channels as ch
 from delins import qstrings as qs
 
+from closed_forms import composition_count, runs_distribution
+
 
 def qary_strings(q: int, max_len: int = 10):
     return st.lists(st.integers(0, q - 1), max_size=max_len).map(tuple)
@@ -196,20 +198,20 @@ class TestCompositions:
 
     def test_count_example(self):
         stream = list(qs.enumerate_compositions(4, 10, 2))
-        assert len(stream) == qs.composition_count(4, 10, 2) == 10
+        assert len(stream) == composition_count(4, 10, 2) == 10
 
     @pytest.mark.parametrize(
         "t,l,k,expected", [(3, 6, 2, 1), (2, 3, 0, 4), (4, 3, 2, 0), (1, 0, 0, 1)]
     )
     def test_count_formula(self, t, l, k, expected):
-        assert qs.composition_count(t, l, k) == expected
+        assert composition_count(t, l, k) == expected
 
     def test_stream_matches_count_and_invariants(self):
         for t in range(1, 6):
             for l in range(0, 16):
                 for k in range(0, 4):
                     seen = list(qs.enumerate_compositions(t, l, k))
-                    assert len(seen) == qs.composition_count(t, l, k), (t, l, k)
+                    assert len(seen) == composition_count(t, l, k), (t, l, k)
                     assert len(set(seen)) == len(seen)
                     assert seen == sorted(seen)
                     for comp in seen:
@@ -235,14 +237,14 @@ class TestInsertionCount:
 
 class TestRunsDistribution:
     def test_examples(self):
-        assert qs.runs_distribution(2, 3, 2) == 4
-        assert qs.runs_distribution(2, 7, 1) == 2
-        assert qs.runs_distribution(3, 4, 1) == 3
-        assert qs.runs_distribution(2, 4, 3) == 6
+        assert runs_distribution(2, 3, 2) == 4
+        assert runs_distribution(2, 7, 1) == 2
+        assert runs_distribution(3, 4, 1) == 3
+        assert runs_distribution(2, 4, 3) == 6
 
     def test_out_of_range_is_zero(self):
-        assert qs.runs_distribution(2, 4, 0) == 0
-        assert qs.runs_distribution(2, 4, 5) == 0
+        assert runs_distribution(2, 4, 0) == 0
+        assert runs_distribution(2, 4, 5) == 0
 
     def test_matches_exhaustive_histogram(self):
         for q in (2, 3):
@@ -251,10 +253,10 @@ class TestRunsDistribution:
                 for x in qs.all_strings(q, n):
                     histogram[qs.run_count(x)] += 1
                 for r in range(1, n + 1):
-                    assert histogram[r] == qs.runs_distribution(q, n, r), (q, n, r)
+                    assert histogram[r] == runs_distribution(q, n, r), (q, n, r)
 
     def test_total_is_full_space(self):
         for q in (2, 3):
             for n in range(1, 11):
-                total = sum(qs.runs_distribution(q, n, r) for r in range(1, n + 1))
+                total = sum(runs_distribution(q, n, r) for r in range(1, n + 1))
                 assert total == q ** n
