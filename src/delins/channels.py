@@ -15,9 +15,10 @@ qstrings.orbit_tally of the output count, one output set per orbit
 representative, so only an export builds the graph.
 conflict_masks ORs each group of inputs sharing an output into their
 conflict rows.  The inputs sharing a deletion result z are the insertion
-ball of z, so deletion_groups builds no deletion set.  The
-s-deletion conflict graph, the search rows and the channel equivalence
-check all use both, so channel equivalence is equality of masks.
+ball of z, so deletion_groups builds no deletion set.  The s-deletion
+conflict graph, whose rows the exact search reads, and the channel
+equivalence check both use them, so channel equivalence is equality of
+masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
 duality at every length l on one LCS/SCS sweep of the pair space.
 """
@@ -190,25 +191,22 @@ def deletion_groups(q: int, n: int, s: int) -> Iterator[list[int]]:
     return (insertion_ranks(z, s, q) for z in all_strings(q, n - s))
 
 
-def conflict_masks(size: int, groups: Iterable[Collection[int]]) -> tuple[list[int], list[int]]:
+def conflict_masks(size: int, groups: Iterable[Collection[int]]) -> list[int]:
     """Conflict rows of inputs 0 .. size-1 from the groups that share an output.
 
     groups holds one member list per shared output, each member once.  Bit j
     of row i is set iff some group holds both i and j, i != j: each group's
     mask, the OR of its members' bits, goes into the row of every member, and
-    self bits are cleared at the end.  Returns the rows and, per input, the
-    number of groups that hold it, which is its output count.
+    self bits are cleared at the end.
     """
     masks = [0] * size
-    costs = [0] * size
     for members in groups:
         group = sum(1 << r for r in members)
         for r in members:
             masks[r] |= group
-            costs[r] += 1
     for r in range(size):
         masks[r] &= ~(1 << r)
-    return masks, costs
+    return masks
 
 
 @dataclass(frozen=True)
@@ -409,12 +407,12 @@ def channel_equivalence_counterexample(
     if work > cap:
         raise CapExceededError("channel equivalence enumeration", work, cap)
     size = q ** n
-    deletion_masks, _ = conflict_masks(size, deletion_groups(q, n, s))
+    deletion_masks = conflict_masks(size, deletion_groups(q, n, s))
     holders: list[list[int]] = [[] for _ in range(q ** (n - a + b))]
     for rank, x in enumerate(all_strings(q, n)):
         for y in output_ranks(x, a, b, q):
             holders[y].append(rank)
-    channel_masks, _ = conflict_masks(size, holders)
+    channel_masks = conflict_masks(size, holders)
     for i, (mine, theirs) in enumerate(zip(deletion_masks, channel_masks)):
         later = (mine ^ theirs) >> (i + 1)
         if later:

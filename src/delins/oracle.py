@@ -45,18 +45,18 @@ SEARCH_CAP = 1 << 12
 
 @dataclass(frozen=True)
 class ConflictGraph:
-    """Conflict relation on [q]^n for s total errors.
+    """Conflict relation on [q]^n for s total errors, in search order.
 
-    Vertices are ranks of strings in [q]^n; masks[i] has bit j set iff the
-    s-deletion sets of strings i and j intersect.  Irreflexive and symmetric
-    as stored.  costs[i] is the size of the s-deletion set of string i.  Both
-    come from channels.conflict_masks over channels.deletion_groups, which
-    the search and the channel equivalence check also use.
+    order[p] is the rank of the string at position p: ranks sorted by
+    s-deletion set size, then by rank.  costs[p] is that size, so costs never
+    decrease.  masks[p] has bit p' set iff the s-deletion sets at positions p
+    and p' intersect; irreflexive and symmetric as stored.
     """
 
     q: int
     n: int
     s: int
+    order: tuple[int, ...]
     masks: tuple[int, ...]
     costs: tuple[int, ...]
 
@@ -73,17 +73,27 @@ class ConflictGraph:
 
 
 def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> ConflictGraph:
-    """Conflict graph via the s-deletion formulation: channels.conflict_masks
-    over the insertion balls of the strings of length n - s, which are the
-    groups of inputs sharing a deletion result."""
+    """Conflict graph via the s-deletion formulation.  The groups of inputs
+    sharing a deletion result, the insertion balls of the strings of length
+    n - s, are walked twice: once to count each input's deletion-set size,
+    which fixes the order, then through channels.conflict_masks by position."""
     check_alphabet(q)
     if not 0 <= s <= n:
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     size = q ** n
     if size > cap:
         raise CapExceededError("conflict graph vertex enumeration", size, cap)
-    masks, costs = ch.conflict_masks(size, ch.deletion_groups(q, n, s))
-    return ConflictGraph(q, n, s, tuple(masks), tuple(costs))
+    costs = [0] * size
+    for group in ch.deletion_groups(q, n, s):
+        for r in group:
+            costs[r] += 1
+    order = sorted(range(size), key=costs.__getitem__)  # stable: ties stay in rank order
+    position_of = [0] * size
+    for position, r in enumerate(order):
+        position_of[r] = position
+    groups = ch.deletion_groups(q, n, s)
+    masks = ch.conflict_masks(size, ([position_of[r] for r in group] for group in groups))
+    return ConflictGraph(q, n, s, tuple(order), tuple(masks), tuple(costs[r] for r in order))
 
 
 @dataclass(frozen=True)
@@ -132,16 +142,15 @@ def verify_certificate(cert: CodeCertificate) -> CodeCertificate:
 class _CodeSearch:
     """Branch and bound maximum independent set on a conflict graph.
 
-    Vertices are relabeled by ascending deletion-set size (then rank), so
-    cheap vertices branch first; the sizes are the graph's costs.  Each
-    vertex keeps one conflict row in that position order, its own bit
-    excluded: channels.conflict_masks over the graph's deletion groups,
-    mapped to positions, gives the rows and costs without reading its masks.
-    Two bounds prune each node: a greedy clique cover of the candidates, and
-    a budget argument specific to this graph family: chosen codewords
-    consume pairwise disjoint deletion sets, so the remaining output-space
-    capacity caps how many candidates can still be added (counting the
-    cheapest candidates, one per clique class).
+    The search works on the graph's positions, its rows and its costs as
+    they are: positions ascend in deletion-set size, so cheap vertices
+    branch first.  Two bounds prune each node: a greedy clique cover of the
+    candidates, and a budget argument specific to this graph family: chosen
+    codewords consume pairwise disjoint deletion sets, so the remaining
+    output-space capacity caps how many candidates can still be added
+    (counting the cheapest candidates, one per clique class).  A class's
+    cost is that of its lowest position, which is its cheapest member only
+    because costs never decrease along the positions.
 
     A root orbit rule skips whole root branches.  Reversal and the symbol
     permutations map s-deletion sets onto s-deletion sets, so they are
@@ -159,22 +168,15 @@ class _CodeSearch:
     """
 
     def __init__(self, graph: ConflictGraph):
-        size = graph.size
-        order = sorted(range(size), key=lambda v: (graph.costs[v], v))
-        self.order = order
-        self.size = size
-        self.full = (1 << size) - 1
+        self.size = graph.size
+        self.full = (1 << graph.size) - 1
+        self.conflicts = graph.masks
+        self.cost = graph.costs
         orbit_of = symmetry_orbits(graph.q, graph.n)
         orbit_bits: dict[int, int] = {}
-        position_of = [0] * size
-        for position, v in enumerate(order):
-            position_of[v] = position
+        for position, v in enumerate(graph.order):
             orbit_bits[orbit_of[v]] = orbit_bits.get(orbit_of[v], 0) | 1 << position
-        self.mates = [orbit_bits[orbit_of[v]] for v in order]
-        groups = ch.deletion_groups(graph.q, graph.n, graph.s)
-        self.conflicts, self.cost = ch.conflict_masks(
-            size, ([position_of[v] for v in group] for group in groups)
-        )
+        self.mates = [orbit_bits[orbit_of[v]] for v in graph.order]
         self.capacity = graph.q ** (graph.n - graph.s)
         self.best_mask = self._greedy_seed()
         self.best_size = self.best_mask.bit_count()
@@ -233,8 +235,7 @@ class _CodeSearch:
                 break
             room -= c
             usable += 1
-        limit = min(usable, len(classes))
-        if r_size + limit <= self.best_size:
+        if r_size + usable <= self.best_size:
             return
         # root orbit rule: orbit mates of the root vertices already searched
         mates = self.mates if not r_size else None
@@ -266,9 +267,11 @@ def max_code_exact(graph: ConflictGraph, time_limit: float | None = None) -> Cod
     Deterministic branch and bound with a greedy warm start.  On timeout the
     incumbent is returned with exact=False (a verified lower bound only).
     """
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time limit must be a nonnegative number of seconds, got {time_limit}")
     search = _CodeSearch(graph)
     best_mask, completed = search.run(time_limit)
-    ranks = sorted(search.order[v] for v in range(search.size) if best_mask >> v & 1)
+    ranks = sorted(graph.order[v] for v in range(graph.size) if best_mask >> v & 1)
     words = tuple(graph.vertex_string(r) for r in ranks)
     cert = CodeCertificate(graph.q, graph.n, graph.s, words, verified=False, exact=completed)
     return verify_certificate(cert)

@@ -89,21 +89,15 @@ def symmetry_orbits(q: int, n: int) -> list[int]:
     return [min(r, relabeled[rev]) for r, rev in zip(relabeled, reversal)]
 
 
-def orbit_representatives(q: int, n: int) -> list[tuple[Qstr, int]]:
-    """(smallest string, orbit size) of every orbit of symmetry_orbits(q, n),
-    in rank order, for orbit_tally."""
-    # an orbit id is first met at its own rank, so the counts come in rank order
-    sizes = Counter(symmetry_orbits(q, n))
-    return [(string_of(r, q, n), size) for r, size in sizes.items()]
-
-
 def orbit_tally(q: int, n: int, key: Callable[[Qstr], Hashable]) -> Counter:
-    """Strings of [q]^n per value of key: key is called once per orbit
-    representative, counted with the orbit size.  key must be invariant
-    under reversal and the symbol permutations."""
+    """Strings of [q]^n per value of key: key is called once per orbit of
+    symmetry_orbits(q, n), on its smallest string, and counted with the
+    orbit size.  key must be invariant under reversal and the symbol
+    permutations."""
     tally: Counter = Counter()
-    for x, size in orbit_representatives(q, n):
-        tally[key(x)] += size
+    # an orbit id is first met at its own rank, so orbits come in rank order
+    for r, size in Counter(symmetry_orbits(q, n)).items():
+        tally[key(string_of(r, q, n))] += size
     return tally
 
 

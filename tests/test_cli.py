@@ -354,6 +354,15 @@ class TestSearch:
         assert code == 4
         assert "lower bound" in out
 
+    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    def test_time_limit_must_be_nonnegative(self, capsys, limit):
+        code, out, err = run_cli(
+            capsys, "search", "--q", "2", "--n", "4", "--s", "1", f"--time-limit={limit}"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error: time limit must be a nonnegative number")
+
 
 class TestCodec:
     def test_deconstruct_worked_example(self, capsys):

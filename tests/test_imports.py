@@ -75,3 +75,12 @@ def test_every_imported_name_is_read():
             for alias in n.names
         }
         assert imported <= read, (path.name, imported - read)
+
+
+def test_no_check_relies_on_assert():
+    # python -O strips assert statements, so a check must raise instead
+    package = Path(delins.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], (path.name, lines)

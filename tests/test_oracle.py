@@ -37,6 +37,32 @@ def certificate_sha256(cert):
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
 
 
+def rank_masks(graph):
+    """graph.masks indexed by rank: bit j of row i is set iff the strings of
+    ranks i and j conflict."""
+    rows = [0] * graph.size
+    for position, mask in enumerate(graph.masks):
+        row = 0
+        while mask:
+            low = mask & -mask
+            row |= 1 << graph.order[low.bit_length() - 1]
+            mask ^= low
+        rows[graph.order[position]] = row
+    return rows
+
+
+def rank_costs(graph):
+    """graph.costs indexed by rank."""
+    costs = [0] * graph.size
+    for position, cost in enumerate(graph.costs):
+        costs[graph.order[position]] = cost
+    return costs
+
+
+# The benchmark's seven search rungs.
+SEARCH_RUNGS = [(2, 7, 1), (2, 9, 2), (3, 6, 2), (4, 5, 2), (2, 10, 3), (2, 10, 4), (3, 7, 3)]
+
+
 class TestConflictGraph:
     def test_zero_errors_no_conflicts(self):
         graph = orc.build_conflict_graph(2, 4, 0)
@@ -46,25 +72,26 @@ class TestConflictGraph:
         graph = orc.build_conflict_graph(2, 3, 1)
         i = qs.rank_of((0, 0, 0), 2)
         j = qs.rank_of((0, 0, 1), 2)
-        assert graph.masks[i] >> j & 1  # both strings contain 00
+        assert rank_masks(graph)[i] >> j & 1  # both strings contain 00
 
     def test_symmetric_and_irreflexive(self):
         graph = orc.build_conflict_graph(2, 4, 1)
+        masks = rank_masks(graph)
         for i in range(graph.size):
-            assert not graph.masks[i] >> i & 1
+            assert not masks[i] >> i & 1
             for j in range(graph.size):
-                assert graph.masks[i] >> j & 1 == graph.masks[j] >> i & 1
+                assert masks[i] >> j & 1 == masks[j] >> i & 1
 
     def test_matches_output_set_conflicts(self):
         # same relation built from the mixed-channel output sets
         for n in (3, 4, 5):
-            graph = orc.build_conflict_graph(2, n, 2)
+            masks = rank_masks(orc.build_conflict_graph(2, n, 2))
             strings = list(qs.all_strings(2, n))
             outputs = [ch.channel_output_set(x, 1, 1, 2) for x in strings]
             for i in range(len(strings)):
                 for j in range(i + 1, len(strings)):
                     expected = not outputs[i].isdisjoint(outputs[j])
-                    assert bool(graph.masks[i] >> j & 1) == expected, (n, i, j)
+                    assert bool(masks[i] >> j & 1) == expected, (n, i, j)
 
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
@@ -86,8 +113,23 @@ class TestConflictGraph:
                         )
                         for i, mine in enumerate(del_sets)
                     ]
-                    assert list(graph.masks) == expected, (q, n, s)
-                    assert list(graph.costs) == [len(d) for d in del_sets], (q, n, s)
+                    assert rank_masks(graph) == expected, (q, n, s)
+                    assert rank_costs(graph) == [len(d) for d in del_sets], (q, n, s)
+
+    def test_positions_ascend_in_cost_then_rank(self):
+        # the budget bound takes a clique class's cost from its lowest
+        # position, which is its cheapest member only in this order
+        instances = [
+            (q, n, s)
+            for q, max_n in ((2, 6), (3, 4), (4, 3))
+            for n in range(1, max_n + 1)
+            for s in range(n + 1)
+        ]
+        for q, n, s in instances + SEARCH_RUNGS:
+            graph = orc.build_conflict_graph(q, n, s)
+            assert sorted(graph.order) == list(range(graph.size)), (q, n, s)
+            keys = list(zip(graph.costs, graph.order))
+            assert keys == sorted(keys), (q, n, s)
 
     def test_masks_and_costs_commute_with_the_symmetry_generators(self):
         # the search's root orbit rule rests on this: each generator g of the
@@ -99,7 +141,7 @@ class TestConflictGraph:
             for n in range(1, max_n + 1)
             for s in range(n + 1)
         ]
-        instances += [(2, 7, 1), (2, 9, 2), (3, 6, 2), (4, 5, 2), (2, 10, 3), (2, 10, 4), (3, 7, 3)]
+        instances += SEARCH_RUNGS
         generators = {
             "reversal": lambda x, q: x[::-1],
             "transposition": lambda x, q: tuple(1 - c if c < 2 else c for c in x),
@@ -108,6 +150,7 @@ class TestConflictGraph:
         images = {}
         for q, n, s in instances:
             graph = orc.build_conflict_graph(q, n, s)
+            masks, costs = rank_masks(graph), rank_costs(graph)
             size, width = graph.size, f"0{graph.size}b"
             for name, gen in generators.items():
                 if (q, n, name) not in images:
@@ -119,20 +162,20 @@ class TestConflictGraph:
                 # character k of a mask's binary text is rank size-1-k
                 pick = itemgetter(*[size - 1 - inverse[size - 1 - k] for k in range(size)])
                 for v in range(size):
-                    moved = int("".join(pick(format(graph.masks[v], width))), 2)
-                    assert graph.masks[image[v]] == moved, (q, n, s, name, v)
-                    assert graph.costs[image[v]] == graph.costs[v], (q, n, s, name, v)
+                    moved = int("".join(pick(format(masks[v], width))), 2)
+                    assert masks[image[v]] == moved, (q, n, s, name, v)
+                    assert costs[image[v]] == costs[v], (q, n, s, name, v)
 
     def test_search_rows_are_conflicts_in_position_order(self):
         for q, n, s in [(2, 5, 1), (2, 6, 2), (3, 3, 1), (3, 4, 2), (4, 3, 1)]:
             graph = orc.build_conflict_graph(q, n, s)
             search = orc._CodeSearch(graph)
-            order = search.order
+            masks, order = rank_masks(graph), graph.order
             for i, row in enumerate(search.conflicts):
                 assert not row >> i & 1
                 for j in range(graph.size):
                     if j != i:
-                        assert row >> j & 1 == graph.masks[order[i]] >> order[j] & 1
+                        assert row >> j & 1 == masks[order[i]] >> order[j] & 1
 
     def test_build_and_search_rows_build_no_deletion_set(self, monkeypatch):
         # both take their groups from the insertion balls of the shorter strings
@@ -141,6 +184,19 @@ class TestConflictGraph:
         search = orc._CodeSearch(graph)
         assert graph.conflict_count > 0
         assert search.size == graph.size
+
+    def test_build_and_search_make_one_conflict_row_pass(self, monkeypatch):
+        calls = []
+        real = ch.conflict_masks
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(ch, "conflict_masks", counted)
+        cert = orc.max_code_exact(orc.build_conflict_graph(2, 6, 2))
+        assert cert.exact and cert.size == 4
+        assert calls == [64]
 
 
 class TestMaxCodeExact:
@@ -188,6 +244,12 @@ class TestMaxCodeExact:
         assert not cert.exact
         assert cert.verified
         assert cert.size >= 1
+
+    @pytest.mark.parametrize("time_limit", [float("nan"), -1.0, float("-inf")])
+    def test_time_limit_must_be_nonnegative(self, time_limit):
+        # a NaN deadline is never passed, so the search would never time out
+        with pytest.raises(ValueError, match="time limit"):
+            orc.max_code_exact(orc.build_conflict_graph(2, 4, 1), time_limit=time_limit)
 
 
 class TestVtCode:
