@@ -34,13 +34,11 @@ from delins.codec import (
     LEFT,
     RIGHT,
     AmbiguousDeletionError,
-    EdgeParameter,
     InsertTriple,
     NotDeconstructableError,
     construct,
     deconstruct,
     delete_step,
-    enumerate_parameters,
     insert_step,
     match,
     parameter_count,

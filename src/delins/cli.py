@@ -205,17 +205,21 @@ def cmd_codec(args: argparse.Namespace) -> int:
     # the parser admits exactly one mode, so this is --roundtrip
     if args.l is None or args.a is None or args.b is None:
         raise ValueError("--roundtrip needs --l, --a and --b")
-    if cdc.parameter_count(q, args.l, args.a, args.b) == 0:
+    total = cdc.parameter_count(q, args.l, args.a, args.b)
+    if total == 0:
         raise ValueError(
             f"no edge parameter exists at q={q} l={args.l} a={args.a} b={args.b}, "
             "so a round trip would check nothing"
         )
-    total, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
+    count, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
     if failure is not None:
         x, y = failure
-        print(f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}")
+        print(
+            f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}"
+            f" (parameter {count} of {total})"
+        )
         return EXIT_FAIL
-    print(f"all {total} parameters round-trip")
+    print(f"all {count} parameters round-trip")
     return EXIT_OK
 
 

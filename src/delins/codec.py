@@ -7,6 +7,11 @@ disagree on their first symbol.  Because every interval is required to be
 non-alternating, the greedy deconstruction below recovers the parameter
 exactly, which makes construction injective and the parameter count a lower
 bound on the edge count.
+
+The round trip walks the parameters in blocks that share the gap sides, the
+offsets and the interval lengths.  Within a block every starting interval
+shares the same tails, so each tail is built and decoded once, and each edge
+only has its starting interval split off by match.
 """
 
 from __future__ import annotations
@@ -48,17 +53,9 @@ class InsertTriple(NamedTuple):
     interval: Qstr
 
 
-class EdgeParameter(NamedTuple):
-    """One constructable edge: gap sides, offsets, and s+1 intervals.
-
-    Exactly a of the gap sides are LEFT, offsets lie in [1, q-1], and no
-    interval is alternating.  The edge's common subsequence is the
-    concatenation of the intervals.
-    """
-
-    gap_sides: tuple[str, ...]
-    offsets: tuple[int, ...]
-    intervals: tuple[Qstr, ...]
+# (gap sides, offsets, interval pools): the parameters sharing the sides, the
+# offsets and the interval lengths
+Block = tuple[tuple[str, ...], tuple[int, ...], tuple[tuple[Qstr, ...], ...]]
 
 
 def insert_step(triple: InsertTriple, q: int) -> tuple[Qstr, Qstr]:
@@ -136,19 +133,18 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
     return triple, tuple(x[right:]), tuple(y[right + 1:])
 
 
-def deconstruct(
-    x: Qstr,
-    y: Qstr,
+def undo_steps(
+    rest_x: Qstr,
+    rest_y: Qstr,
     q: int,
     on_step: Callable[[InsertTriple, Qstr, Qstr], None] | None = None,
-) -> tuple[Qstr, tuple[InsertTriple, ...]]:
-    """Recover (starting interval, insert steps) from an edge endpoint pair.
+) -> tuple[InsertTriple, ...]:
+    """Undo insert steps from the front of (rest_x, rest_y) until both are empty.
 
-    Exact inverse of construct on constructable edges.  Raises
-    NotDeconstructableError (or its AmbiguousDeletionError subclass) when the
-    pair is outside the constructable image.
+    The rests are what match leaves after the starting interval.  Raises
+    NotDeconstructableError (or its AmbiguousDeletionError subclass) when
+    they are not the concatenated outputs of insert steps.
     """
-    z0, rest_x, rest_y = match(tuple(x), tuple(y))
     triples: list[InsertTriple] = []
     while rest_x and rest_y:
         triple, rest_x, rest_y = delete_step(rest_x, rest_y, q)
@@ -160,7 +156,24 @@ def deconstruct(
         raise NotDeconstructableError(
             f"one side has {len(leftover)} unmatched trailing symbols"
         )
-    return z0, tuple(triples)
+    return tuple(triples)
+
+
+def deconstruct(
+    x: Qstr,
+    y: Qstr,
+    q: int,
+    on_step: Callable[[InsertTriple, Qstr, Qstr], None] | None = None,
+) -> tuple[Qstr, tuple[InsertTriple, ...]]:
+    """Recover (starting interval, insert steps) from an edge endpoint pair.
+
+    Exact inverse of construct on constructable edges: match splits off the
+    starting interval and undo_steps the rest.  Raises NotDeconstructableError
+    (or its AmbiguousDeletionError subclass) when the pair is outside the
+    constructable image.
+    """
+    z0, rest_x, rest_y = match(tuple(x), tuple(y))
+    return z0, undo_steps(rest_x, rest_y, q, on_step)
 
 
 def parameter_count(q: int, l: int, a: int, b: int) -> int:
@@ -184,14 +197,17 @@ def parameter_count(q: int, l: int, a: int, b: int) -> int:
     return math.comb(s, a) * (q - 1) ** s * interval_total
 
 
-def enumerate_parameters(
+def parameter_blocks(
     q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP
-) -> Iterator[EdgeParameter]:
-    """Yield every constructable edge parameter exactly once.
+) -> Iterator[Block]:
+    """Yield every block (gap sides, offsets, interval pools) exactly once.
 
-    Order: gap-side subsets in colex order, offsets lexicographic,
-    compositions lexicographic, per-interval strings in base-q numeric order
-    (earlier intervals vary slowest).
+    A block fixes the sides, the offsets and the interval lengths; its
+    parameters are product(*pools), with the starting interval from pools[0]
+    varying slowest.  Order: gap-side subsets in colex order, offsets
+    lexicographic, compositions of l lexicographic, and within each pool the
+    strings in base-q numeric order.  Raises CapExceededError up front when
+    the parameter count exceeds cap.
     """
     total = parameter_count(q, l, a, b)
     if total > cap:
@@ -199,15 +215,13 @@ def enumerate_parameters(
     s = a + b
     side_subsets = sorted(combinations(range(s), a), key=lambda c: c[::-1])
 
-    def generate() -> Iterator[EdgeParameter]:
+    def generate() -> Iterator[Block]:
         for subset in side_subsets:
             chosen = set(subset)
             sides = tuple(LEFT if i in chosen else RIGHT for i in range(s))
             for offsets in product(range(1, q), repeat=s):
                 for comp in enumerate_compositions(s + 1, l, 2):
-                    pools = [non_alternating_strings(q, part) for part in comp]
-                    for intervals in product(*pools):
-                        yield EdgeParameter(sides, offsets, intervals)
+                    yield sides, offsets, tuple(non_alternating_strings(q, part) for part in comp)
 
     return generate()
 
@@ -215,30 +229,53 @@ def enumerate_parameters(
 def roundtrip_counterexample(
     q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP
 ) -> tuple[int, tuple[Qstr, Qstr] | None]:
-    """Construct the edge of every parameter of (q, l, a, b) and deconstruct it.
+    """Check that deconstruct inverts construct on every parameter of (q, l, a, b).
 
-    Each distinct (side, offset, interval) insert step is built once per call
-    and reused.  Returns (parameters checked, None) when every edge gives back
-    its own parameter; otherwise the count up to and including the first edge
-    (x, y), in enumerate_parameters order, that does not, and that edge.
+    Returns (parameters checked, None) when every edge gives back its own
+    parameter; otherwise the count up to and including the first edge (x, y),
+    in parameter order (parameter_blocks, then product of the pools), that
+    does not, and that edge.
+
+    The walk goes block by block.  Each tail (the intervals after the first)
+    is built once per block into its insert-step keys and its rests (rx, ry)
+    from insert_step, memoised per call; the edge of starting interval z0 is
+    (z0 + rx, z0 + ry).  deconstruct is match followed by undo_steps on the
+    rests, so that edge decodes to its own parameter exactly when
+    match(z0 + rx, z0 + ry) == (z0, rx, ry) and undo_steps(rx, ry) == keys.
+    The second condition does not depend on z0, so undo_steps runs once per
+    tail, on the block's first z0, while every edge still goes through
+    match.  A tail whose decode fails fails for every z0, and the first z0's
+    row comes first in parameter order, so the first failing edge, and the
+    count, are the ones a per-edge deconstruct would report.
     """
     count = 0
     steps: dict[tuple[str, int, Qstr], tuple[Qstr, Qstr]] = {}  # insert_step memo
-    for sides, offsets, intervals in enumerate_parameters(q, l, a, b, cap):
-        count += 1
-        keys = tuple(zip(sides, offsets, intervals[1:]))
-        x = y = intervals[0]
-        for key in keys:
-            step = steps.get(key)
-            if step is None:
-                step = steps[key] = insert_step(InsertTriple(*key), q)
-            x += step[0]
-            y += step[1]
-        try:
-            got = deconstruct(x, y, q)
-        except NotDeconstructableError:
-            return count, (x, y)
-        # an InsertTriple compares equal to its plain (side, offset, interval) key
-        if got != (intervals[0], keys):
-            return count, (x, y)
+    for sides, offsets, pools in parameter_blocks(q, l, a, b, cap):
+        tails = []
+        for tail in product(*pools[1:]):
+            keys = tuple(zip(sides, offsets, tail))
+            rx = ry = ()
+            for key in keys:
+                step = steps.get(key)
+                if step is None:
+                    step = steps[key] = insert_step(InsertTriple(*key), q)
+                rx += step[0]
+                ry += step[1]
+            tails.append((keys, rx, ry))
+        decoded = False  # set once the block's first z0 has decoded every tail
+        for z0 in pools[0]:
+            for keys, rx, ry in tails:
+                count += 1
+                x, y = z0 + rx, z0 + ry
+                if match(x, y) != (z0, rx, ry):
+                    return count, (x, y)
+                if not decoded:
+                    try:
+                        got = undo_steps(rx, ry, q)
+                    except NotDeconstructableError:
+                        return count, (x, y)
+                    # an InsertTriple compares equal to its plain (side, offset, interval) key
+                    if got != keys:
+                        return count, (x, y)
+            decoded = True
     return count, None

@@ -400,16 +400,32 @@ class TestCodec:
         assert out == "all 16 parameters round-trip\n"
 
     def test_roundtrip_decode_failure_exits_one(self, capsys, monkeypatch):
-        def refuse(x, y, q, on_step=None):
+        def refuse(rx, ry, q, on_step=None):
             raise cli.cdc.NotDeconstructableError("forced")
 
-        monkeypatch.setattr(cli.cdc, "deconstruct", refuse)
+        monkeypatch.setattr(cli.cdc, "undo_steps", refuse)
         code, out, err = run_cli(
             capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
         )
         assert code == 1
         assert out.startswith("round-trip FAILED for x=")
+        assert out.endswith(" (parameter 1 of 16)\n")
         assert "usage error" not in err
+
+    def test_roundtrip_failure_names_its_position(self, capsys, monkeypatch):
+        # the sixth parameter of (2, 6, 1, 1): z0=11, tail (00, 11), left then right
+        sixth = ((1, 1, 1, 0, 0, 1, 1), (1, 1, 0, 0, 0, 1, 1))
+        match = cli.cdc.match
+
+        def misreports_sixth(x, y):
+            z0, rx, ry = match(x, y)
+            return (z0[:-1], rx, ry) if (x, y) == sixth else (z0, rx, ry)
+
+        monkeypatch.setattr(cli.cdc, "match", misreports_sixth)
+        code, out, _ = run_cli(
+            capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
+        )
+        assert (code, out) == (1, "round-trip FAILED for x=1110011 y=1100011 (parameter 6 of 16)\n")
 
     def test_construct_from_file(self, capsys, tmp_path):
         path = tmp_path / "params.txt"

@@ -5,9 +5,10 @@ from delins import channels as ch
 from delins import codec as cdc
 from delins import oracle as orc
 from delins import qstrings as qs
-from delins.codec import LEFT, RIGHT, EdgeParameter, InsertTriple
+from delins.codec import LEFT, RIGHT, InsertTriple
 from delins.errors import CapExceededError
 
+from codec_reference import EdgeParameter, construct_edge, enumerate_parameters
 from lcs_reference import lcs_at_least
 
 
@@ -16,11 +17,6 @@ def nonalternating(q: int, min_len: int = 2, max_len: int = 5):
         st.integers(min_len, max_len)
         .flatmap(lambda n: st.sampled_from(qs.non_alternating_strings(q, n)))
     )
-
-
-def construct_edge(param: EdgeParameter, q: int) -> tuple[qs.Qstr, qs.Qstr]:
-    triples = tuple(map(InsertTriple, param.gap_sides, param.offsets, param.intervals[1:]))
-    return cdc.construct(param.intervals[0], triples, q)
 
 
 class TestInsertStep:
@@ -70,7 +66,7 @@ class TestConstruct:
 
     def test_endpoint_lengths_and_common_subsequence(self):
         for q, l, a, b in [(2, 4, 1, 1), (3, 4, 1, 0), (2, 5, 2, 0)]:
-            for param in cdc.enumerate_parameters(q, l, a, b):
+            for param in enumerate_parameters(q, l, a, b):
                 x, y = construct_edge(param, q)
                 assert len(x) == l + a and len(y) == l + b
                 assert lcs_at_least(x, y, l), (param, x, y)
@@ -236,7 +232,7 @@ class TestEnumerateParameters:
     def test_single_interval_counts(self):
         for q in (2, 3):
             for l in range(2, 7):
-                count = sum(1 for _ in cdc.enumerate_parameters(q, l, 0, 0))
+                count = sum(1 for _ in enumerate_parameters(q, l, 0, 0))
                 assert count == q ** l - qs.alternating_count(q, l)
 
     def test_hand_counted_instances(self):
@@ -247,7 +243,7 @@ class TestEnumerateParameters:
     def test_yielded_parameters_satisfy_invariants(self):
         for q, l, a, b in [(2, 5, 1, 1), (3, 4, 1, 0), (2, 6, 0, 2)]:
             seen = set()
-            for p in cdc.enumerate_parameters(q, l, a, b):
+            for p in enumerate_parameters(q, l, a, b):
                 assert p not in seen
                 seen.add(p)
                 assert sum(1 for side in p.gap_sides if side == LEFT) == a
@@ -258,22 +254,34 @@ class TestEnumerateParameters:
             assert len(seen) == cdc.parameter_count(q, l, a, b)
 
     def test_deterministic_stream_prefix(self):
-        first = list(cdc.enumerate_parameters(2, 4, 1, 0))
+        first = list(enumerate_parameters(2, 4, 1, 0))
         assert first[0] == EdgeParameter(
             gap_sides=(LEFT,), offsets=(1,), intervals=((0, 0), (0, 0))
         )
-        assert first == list(cdc.enumerate_parameters(2, 4, 1, 0))
+        assert first == list(enumerate_parameters(2, 4, 1, 0))
 
     def test_cap_guard(self):
+        # raised at the call, before any block is drawn
         with pytest.raises(CapExceededError):
-            list(cdc.enumerate_parameters(2, 22, 1, 1, cap=1 << 10))
+            cdc.parameter_blocks(2, 22, 1, 1, cap=1 << 10)
 
     def test_constructable_edge_count_cross_checks(self):
         # the enumeration and the closed product-sum give the same count
         for args, expected in [((2, 4, 0, 0), 14), ((3, 4, 1, 0), 18)]:
-            assert sum(1 for _ in cdc.enumerate_parameters(*args)) == expected
+            assert sum(1 for _ in enumerate_parameters(*args)) == expected
             assert cdc.parameter_count(*args) == expected
-        assert sum(1 for _ in cdc.enumerate_parameters(2, 2, 1, 1)) == cdc.parameter_count(2, 2, 1, 1)
+        assert sum(1 for _ in enumerate_parameters(2, 2, 1, 1)) == cdc.parameter_count(2, 2, 1, 1)
+
+
+def _block(p: EdgeParameter) -> tuple:
+    """The parameter_blocks block of a parameter: sides, offsets, interval lengths."""
+    return p.gap_sides, p.offsets, tuple(map(len, p.intervals))
+
+
+def _on_first_z0(params: list[EdgeParameter]) -> list[bool]:
+    """For each parameter, whether its z0 is the first z0 of its block."""
+    first: dict[tuple, qs.Qstr] = {}
+    return [first.setdefault(_block(p), p.intervals[0]) == p.intervals[0] for p in params]
 
 
 class TestRoundTrip:
@@ -285,43 +293,68 @@ class TestRoundTrip:
         assert cdc.roundtrip_counterexample(q, l, a, b) == (cdc.parameter_count(q, l, a, b), None)
 
     def test_counterexample_is_the_first_edge_that_fails(self, monkeypatch):
-        edges = [construct_edge(p, 2) for p in cdc.enumerate_parameters(2, 6, 1, 1)]
-        deconstruct = cdc.deconstruct
+        # (2, 6, 1, 1): two blocks of 8 edges, z0 in (00, 11) times 4 tails,
+        # so edges[5] shares its tail with edges[1], the first z0's row
+        edges = [construct_edge(p, 2) for p in enumerate_parameters(2, 6, 1, 1)]
+        match, undo_steps = cdc.match, cdc.undo_steps
 
-        def drops_last_step(x, y, q):
-            z0, triples = deconstruct(x, y, q)
-            return (z0, triples[:-1]) if (x, y) in edges[5:] else (z0, triples)
+        def misreports_later_edges(x, y):
+            z0, rx, ry = match(x, y)
+            return (z0[:-1], rx, ry) if (x, y) in edges[5:] else (z0, rx, ry)
 
-        monkeypatch.setattr(cdc, "deconstruct", drops_last_step)
+        monkeypatch.setattr(cdc, "match", misreports_later_edges)
         assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (6, edges[5])
+        monkeypatch.setattr(cdc, "match", match)
 
-        def refuses(x, y, q):
+        bad_rests = match(*edges[5])[1:]
+
+        def drops_last_step_of_one_tail(rx, ry, q, on_step=None):
+            triples = undo_steps(rx, ry, q, on_step)
+            return triples[:-1] if (rx, ry) == bad_rests else triples
+
+        monkeypatch.setattr(cdc, "undo_steps", drops_last_step_of_one_tail)
+        assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (2, edges[1])
+
+        def refuses(rx, ry, q, on_step=None):
             raise cdc.NotDeconstructableError("refused")
 
-        monkeypatch.setattr(cdc, "deconstruct", refuses)
+        monkeypatch.setattr(cdc, "undo_steps", refuses)
         assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (1, edges[0])
 
     def test_distinct_parameters_give_distinct_edges(self):
         for q, l, a, b in [(2, 5, 1, 1), (3, 4, 1, 0)]:
-            edges = {construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)}
+            edges = {construct_edge(p, q) for p in enumerate_parameters(q, l, a, b)}
             assert len(edges) == cdc.parameter_count(q, l, a, b)
 
     @pytest.mark.parametrize(
         "q,l,a,b", [(2, 6, 1, 1), (3, 6, 1, 1), (2, 7, 2, 0), (2, 8, 1, 2), (4, 4, 1, 0)]
     )
     def test_deconstruct_gets_each_constructed_edge_once(self, monkeypatch, q, l, a, b):
-        seen = []
-        deconstruct = cdc.deconstruct
+        # every edge is split by match once, in parameter order; each tail
+        # is decoded once, on the first z0 of its block
+        matched, decoded = [], []
+        match, undo_steps = cdc.match, cdc.undo_steps
 
-        def recorder(x, y, q):
-            seen.append((x, y))
-            return deconstruct(x, y, q)
+        def record_match(x, y):
+            matched.append((x, y))
+            return match(x, y)
 
-        monkeypatch.setattr(cdc, "deconstruct", recorder)
+        def record_undo(rx, ry, q, on_step=None):
+            decoded.append((rx, ry))
+            return undo_steps(rx, ry, q, on_step)
+
+        monkeypatch.setattr(cdc, "match", record_match)
+        monkeypatch.setattr(cdc, "undo_steps", record_undo)
         count, failure = cdc.roundtrip_counterexample(q, l, a, b)
         assert failure is None
-        assert seen == [construct_edge(p, q) for p in cdc.enumerate_parameters(q, l, a, b)]
-        assert count == len(seen) == cdc.parameter_count(q, l, a, b) > 0
+        params = list(enumerate_parameters(q, l, a, b))
+        edges = [construct_edge(p, q) for p in params]
+        assert matched == edges
+        assert count == len(matched) == cdc.parameter_count(q, l, a, b) > 0
+        assert decoded == [
+            match(*edge)[1:] for edge, first in zip(edges, _on_first_z0(params)) if first
+        ]
+        assert len(decoded) == len({(_block(p), p.intervals[1:]) for p in params}) < count
 
     def test_insert_steps_come_from_insert_step(self, monkeypatch):
         insert_step = cdc.insert_step
@@ -331,6 +364,76 @@ class TestRoundTrip:
             return (v, u) if triple.offset == 1 else (u, v)
 
         monkeypatch.setattr(cdc, "insert_step", wrong_side_for_offset_one)
-        first = next(cdc.enumerate_parameters(3, 6, 1, 1))
+        first = next(enumerate_parameters(3, 6, 1, 1))
         assert first.offsets == (1, 1)
         assert cdc.roundtrip_counterexample(3, 6, 1, 1) == (1, construct_edge(first, 3))
+
+
+def _per_edge_roundtrip(q, l, a, b):
+    """roundtrip_counterexample as a plain loop of deconstruct(construct(p)) == p."""
+    count = 0
+    for p in enumerate_parameters(q, l, a, b):
+        count += 1
+        x, y = construct_edge(p, q)
+        want = (p.intervals[0], tuple(map(InsertTriple, p.gap_sides, p.offsets, p.intervals[1:])))
+        try:
+            if cdc.deconstruct(x, y, q) != want:
+                return count, (x, y)
+        except cdc.NotDeconstructableError:
+            return count, (x, y)
+    return count, None
+
+
+def _later_z0_edge(q, l, a, b):
+    """The middle edge, in parameter order, among those whose z0 is not the
+    first z0 of its block."""
+    params = list(enumerate_parameters(q, l, a, b))
+    later = [p for p, first in zip(params, _on_first_z0(params)) if not first]
+    return construct_edge(later[len(later) // 2], q)
+
+
+REFERENCE_INSTANCES = [(2, 6, 1, 1), (3, 6, 1, 1), (2, 7, 2, 0), (2, 8, 1, 2), (4, 4, 1, 0), (2, 3, 0, 0)]
+
+
+@pytest.mark.parametrize("q,l,a,b", REFERENCE_INSTANCES)
+class TestRoundTripMatchesPerEdgeReference:
+    # deconstruct reads match and undo_steps from the module, so a fault
+    # patched into either reaches the reference loop too
+
+    def test_without_fault(self, q, l, a, b):
+        want = (cdc.parameter_count(q, l, a, b), None)
+        assert cdc.roundtrip_counterexample(q, l, a, b) == _per_edge_roundtrip(q, l, a, b) == want
+
+    def test_match_misreports_an_edge_at_a_later_z0(self, monkeypatch, q, l, a, b):
+        bad = _later_z0_edge(q, l, a, b)
+        match = cdc.match
+
+        def misreports(x, y):
+            z0, rx, ry = match(x, y)
+            return (z0[:-1], rx, ry) if (x, y) == bad else (z0, rx, ry)
+
+        monkeypatch.setattr(cdc, "match", misreports)
+        got = cdc.roundtrip_counterexample(q, l, a, b)
+        assert got == _per_edge_roundtrip(q, l, a, b)
+        assert got[1] == bad
+
+    @pytest.mark.parametrize("fault", ["raises", "adds_a_step"])
+    def test_one_tail_fails_to_decode(self, monkeypatch, q, l, a, b, fault):
+        # the tail of an edge at a later z0 fails first on its block's first z0
+        bad = _later_z0_edge(q, l, a, b)
+        bad_rests = cdc.match(*bad)[1:]
+        undo_steps = cdc.undo_steps
+
+        def faulty(rx, ry, q, on_step=None):
+            triples = undo_steps(rx, ry, q, on_step)
+            if (rx, ry) != bad_rests:
+                return triples
+            if fault == "raises":
+                raise cdc.NotDeconstructableError("forced")
+            return triples + (InsertTriple(LEFT, 1, (0, 0)),)
+
+        monkeypatch.setattr(cdc, "undo_steps", faulty)
+        got = cdc.roundtrip_counterexample(q, l, a, b)
+        assert got == _per_edge_roundtrip(q, l, a, b)
+        assert got[1] is not None and got[1] != bad
+        assert cdc.match(*got[1])[1:] == bad_rests
