@@ -20,7 +20,9 @@ conflict graph, whose rows the exact search reads, and the channel
 equivalence check both use them, so channel equivalence is equality of
 masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
-duality at every length l on one LCS/SCS sweep of the pair space.
+duality at every length l from LCS and SCS tables that share the prefixes
+of both strings: each prefix of x keeps one row per table over every prefix
+of y, and one symbol more of x updates both rows.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
+from operator import add
 from typing import IO, Collection, Iterable, Iterator
 
 from delins.errors import CapExceededError
@@ -306,60 +309,67 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
     return ChannelGraph(q, l, a, b, adjacency)
 
 
-def _duality_sweep(q: int, m: int, n: int) -> Iterator[tuple[Qstr, int, int, int]]:
-    """Yield (x, rank of y, LCS length, SCS length) for every pair (x, y)
-    of [q]^m x [q]^n, x and y each in all_strings order.
+def _duality_tables(q: int, m: int, n: int) -> Iterator[tuple[Qstr, list[int], list[int]]]:
+    """Yield (x, lcs, scs) for every x in [q]^m in all_strings order, where
+    lcs[r] and scs[r] are the LCS and SCS lengths of x and the string of
+    rank r in [q]^n.
 
-    For each x, [q]^n is walked depth first as an odometer.  Each node extends
-    the LCS column and the SCS column of its parent prefix by one symbol c of
-    y, each by its own recurrence, so strings y sharing a prefix share its
-    columns: about q/(q-1) column steps per pair instead of n.
+    Both strings share their prefixes.  [q]^m is walked depth first as an
+    odometer, and each prefix of x keeps one LCS row and one SCS row over
+    every prefix of y, stored level by level: level j lists the q**j
+    prefixes of length j in rank order, so the prefix of rank r extends
+    that of rank r // q at level j - 1 by the symbol r % q.  A symbol c
+    turns the rows of x[:i-1] into those of x[:i], each table by its own
+    recurrence: the entries whose last symbol is c read the old level
+    j - 1, the others the old level j and the new level j - 1.  That is
+    about (q/(q-1))**2 cell updates per pair.  The rows of the m + 1
+    prefixes on the current path hold (m + 1) * 2 * sum(q**j for j <= n)
+    slots, which the pairs cap bounds.
     """
-    top_lcs = [0] * (m + 1)
-    top_scs = list(range(m + 1))
-    for x in all_strings(q, m):
-        # lcs_cols[d], scs_cols[d]: the columns of the prefix y[:d]
-        lcs_cols = [top_lcs] * (n + 1)
-        scs_cols = [top_scs] * (n + 1)
-        y = [0] * n
-        depth = 0  # columns are current up to y[:depth]
-        rank = 0
-        while True:
-            while depth < n:
-                c = y[depth]
-                lcs_up, scs_up = lcs_cols[depth], scs_cols[depth]
-                depth += 1
-                lcs = 0
-                scs = depth
-                lcs_col = [lcs]
-                scs_col = [scs]
-                for i, xi in enumerate(x):
-                    if xi == c:
-                        lcs = lcs_up[i] + 1
-                        scs = scs_up[i] + 1
+    top_lcs = [[0] * q ** j for j in range(n + 1)]
+    top_scs = [[j] * q ** j for j in range(n + 1)]
+    # lcs_rows[i], scs_rows[i]: the rows of the prefix x[:i]
+    lcs_rows = [top_lcs] * (m + 1)
+    scs_rows = [top_scs] * (m + 1)
+    x = [0] * m
+    depth = 0  # rows are current up to x[:depth]
+    while True:
+        while depth < m:
+            c = x[depth]
+            lcs_old, scs_old = lcs_rows[depth], scs_rows[depth]
+            depth += 1
+            lcs_new = [[0]]
+            scs_new = [[depth]]
+            for j in range(1, n + 1):
+                lcs_up, scs_up = lcs_new[-1], scs_new[-1]
+                lcs_here, scs_here = lcs_old[j], scs_old[j]
+                lcs_level = [0] * len(lcs_here)
+                scs_level = [0] * len(scs_here)
+                for s in range(q):
+                    if s == c:
+                        lcs_level[s::q] = [v + 1 for v in lcs_old[j - 1]]
+                        scs_level[s::q] = [v + 1 for v in scs_old[j - 1]]
                     else:
-                        v = lcs_up[i + 1]
-                        if v > lcs:
-                            lcs = v
-                        v = scs_up[i + 1]
-                        if v < scs:
-                            scs = v
-                        scs += 1
-                    lcs_col.append(lcs)
-                    scs_col.append(scs)
-                lcs_cols[depth] = lcs_col
-                scs_cols[depth] = scs_col
-            yield x, rank, lcs_cols[n][m], scs_cols[n][m]
-            rank += 1
-            # advance the odometer; the columns above the changed digit stay
-            k = n - 1
-            while k >= 0 and y[k] == q - 1:
-                y[k] = 0
-                k -= 1
-            if k < 0:
-                break
-            y[k] += 1
-            depth = k
+                        lcs_level[s::q] = [
+                            u if u > v else v for u, v in zip(lcs_here[s::q], lcs_up)
+                        ]
+                        scs_level[s::q] = [
+                            (u if u < v else v) + 1 for u, v in zip(scs_here[s::q], scs_up)
+                        ]
+                lcs_new.append(lcs_level)
+                scs_new.append(scs_level)
+            lcs_rows[depth] = lcs_new
+            scs_rows[depth] = scs_new
+        yield tuple(x), lcs_rows[m][n], scs_rows[m][n]
+        # advance the odometer; the rows above the changed digit stay
+        k = m - 1
+        while k >= 0 and x[k] == q - 1:
+            x[k] = 0
+            k -= 1
+        if k < 0:
+            break
+        x[k] += 1
+        depth = k
 
 
 def parallelogram_range_counterexample(
@@ -367,8 +377,16 @@ def parallelogram_range_counterexample(
 ) -> tuple[int, Qstr, Qstr] | None:
     """Search [q]^m x [q]^n for a pair violating the subsequence/supersequence
     duality at some length l in [1, min(m, n)): a common subsequence of length
-    l exists iff a common supersequence of length m + n - l exists.  One sweep
-    of the pair space gives both table values of each pair once.
+    l exists iff a common supersequence of length m + n - l exists.  One walk
+    of the prefix-shared tables gives both table values of each pair once.
+
+    Every (pair, l) instance is decided in closed form.  With t = m + n - scs
+    and L = min(m, n) - 1, the l in [1, L] with lcs >= l are those up to lcs
+    clamped to [0, L], and those with l <= t the ones up to t clamped to
+    [0, L].  So the two predicates differ for some l iff the clamped values
+    differ, and the first such l is the smaller clamped value plus 1.  A
+    pair with lcs + scs = m + n has t = lcs and decides all its instances
+    at once.
 
     Returns the first violation (l, x, y), pairs in all_strings order and l
     ascending within a pair, or None.
@@ -380,11 +398,16 @@ def parallelogram_range_counterexample(
     if pairs > cap:
         raise CapExceededError("parallelogram pair enumeration", pairs, cap)
     total = m + n
-    levels = range(1, min(m, n))
-    for x, y_rank, lcs, scs in _duality_sweep(q, m, n):
-        for l in levels:
-            if (lcs >= l) != (scs <= total - l):
-                return l, x, string_of(y_rank, q, n)
+    top = min(m, n) - 1
+    balanced = [total] * q ** n
+    for x, lcs_row, scs_row in _duality_tables(q, m, n):
+        if list(map(add, lcs_row, scs_row)) == balanced:
+            continue
+        for y_rank, (lcs, scs) in enumerate(zip(lcs_row, scs_row)):
+            held = min(max(lcs, 0), top)
+            bound = min(max(total - scs, 0), top)
+            if held != bound:
+                return min(held, bound) + 1, x, string_of(y_rank, q, n)
     return None
 
 

@@ -11,8 +11,12 @@ Each exhaustive claim is one function over its instance grid, registered in
 CHECKS and run through run_check: by `delins verify` (verify_all_lemmas) and
 by the acceptance suite at larger grids.  `codec --roundtrip` and `graph`
 run the per-instance parts, codec.roundtrip_counterexample and
-edge_sandwich.  The acceptance suite also keeps independent second routes
-to some claims (per-input output sets, pairwise LCS); those are not copies.
+edge_sandwich.  The duality claim reads the prefix-shared LCS/SCS tables of
+channels.parallelogram_range_counterexample, and the edge sandwich counts
+edges by orbit with channels.degree_histogram, as `graph` does.  The
+acceptance suite also keeps independent second routes to some claims
+(per-input output sets, pairwise LCS, the built channel graph); those are
+not copies.
 """
 
 from __future__ import annotations
@@ -152,6 +156,12 @@ class _CodeSearch:
     cost is that of its lowest position, which is its cheapest member only
     because costs never decrease along the positions.
 
+    Every vertex taken from the classes is still a candidate, since the
+    classes are disjoint subsets of the candidates, and it always fits the
+    capacity left: a candidate conflicts with no chosen vertex, so its
+    deletion set is disjoint from theirs, and all of them lie in
+    [q]^(n-s).  So neither needs a test.
+
     A root orbit rule skips whole root branches.  Reversal and the symbol
     permutations map s-deletion sets onto s-deletion sets, so they are
     automorphisms of a graph from build_conflict_graph (mates[v] is the
@@ -245,9 +255,7 @@ class _CodeSearch:
                 return
             for v in classes[color_index]:
                 bit = 1 << v
-                if not cand & bit:
-                    continue
-                if cost[v] <= capacity and not skip & bit:
+                if not skip & bit:
                     sub = (cand ^ bit) & ~conflicts[v]
                     if sub:
                         self._expand(r_mask | bit, r_size + 1, sub, capacity - cost[v])
@@ -417,7 +425,8 @@ def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     instances = 0
     for l in range(1, limit + 1):
         for a, b in _splits(MAX_S):
-            edges = ch.build_channel_graph(q, l, a, b, caps.cap).edge_count
+            histogram = ch.degree_histogram(q, l, a, b, caps.cap)
+            edges = sum(d * c for d, c in histogram.items())
             constructable, upper = edge_sandwich(q, l, a, b)
             instances += 1
             if not constructable <= edges <= upper:

@@ -1,10 +1,11 @@
 """Reference routes to subsequence, LCS and SCS questions, used only by the
 tests.
 
-Each answers by its own method, independently of the LCS/SCS sweep and the
-rank enumerators in delins.channels, so the tests can compare those against
-them: is_subsequence by one scan of x, lcs_length and scs_length by their
-own dynamic-programming tables, lcs_at_least by bit-parallel bit vectors.
+Each answers by its own method, independently of the prefix-shared LCS/SCS
+tables and the rank enumerators in delins.channels, so the tests can
+compare those against them: is_subsequence by one scan of x, lcs_length
+and scs_length by their own dynamic-programming tables, lcs_at_least by
+bit-parallel bit vectors.
 """
 
 from functools import lru_cache

@@ -10,10 +10,11 @@ each of those loops exists once.  Three loops here are not copies of a
 registered claim and stay: criterion 02's per-input `channel_output_set`
 route and its pairwise `lcs_at_least` route, which are independent second
 routes to the edge count (its third route, the orbit-representative degree
-histogram that `delins graph` prints from, must equal the built graph's); criterion 03, which counts outputs through
-`channel_output_set` where the registered check uses `output_ranks`; and
-criterion 05's equivalence grid, which also tests that the cap refuses
-exactly the instances in EXPECTED_EQUIVALENCE_SKIPS.
+histogram that `delins graph` prints from and the registered sandwich
+claim counts edges by, must equal the built graph's); criterion 03, which
+counts outputs through `channel_output_set` where the registered check uses
+`output_ranks`; and criterion 05's equivalence grid, which also tests that
+the cap refuses exactly the instances in EXPECTED_EQUIVALENCE_SKIPS.
 """
 
 import hashlib

@@ -103,6 +103,15 @@ class TestFewRunsBound:
                     limit = bnd.few_runs_bound(q, n, eps)
                     assert count <= limit + 1e-12 * max(1.0, limit)
 
+    def test_cutoff_is_exact_on_the_eps_grid(self):
+        # FLOAT_GUARD flips no cutoff at any q, n and eps that verify or the
+        # acceptance suite (n up to 10) compares at
+        for q in (2, 3, 4):
+            for n in range(1, 11):
+                for eps in orc.EPS_GRID:
+                    exact = (Fraction(q - 1, q) - Fraction(str(eps))) * (n - 1) + 1
+                    assert bnd.few_runs_cutoff(q, n, eps) == math.floor(exact), (q, n, eps)
+
 
 class TestCodeBounds:
     def test_levenshtein_case(self):

@@ -203,6 +203,14 @@ class TestOrbitDegrees:
             assert ch.degree_histogram(q, l, a, b) == want, (q, l, a, b)
             assert ch.build_channel_graph(q, l, a, b).degree_histogram() == want, (q, l, a, b)
 
+    def test_quaternary_edge_counts_equal_the_built_graph(self):
+        # the cells that `verify --q 4` counts only by orbit; criterion 02
+        # covers q = 2, 3
+        for l in range(1, 5):
+            for a, b in [(a, s - a) for s in range(3) for a in range(s + 1)]:
+                edges = sum(d * c for d, c in ch.degree_histogram(4, l, a, b).items())
+                assert edges == ch.build_channel_graph(4, l, a, b).edge_count, (l, a, b)
+
     def test_histogram_cap_and_arguments_checked_before_enumeration(self, monkeypatch):
         monkeypatch.setattr(ch, "orbit_tally", lambda *args: pytest.fail("enumerated"))
         with pytest.raises(CapExceededError) as err:
@@ -359,41 +367,68 @@ def _skewed_scs(x, y, lcs, scs):
     return scs - 2 if lcs == 1 and x[0] != y[-1] else scs
 
 
+def _long_scs(x, y, lcs, scs):
+    """Three long on pairs with LCS 2 whose first and last symbols differ, so
+    m + n - scs is negative there and the duality breaks from l = 1 on."""
+    return scs + 3 if lcs == 2 and x[0] != y[-1] else scs
+
+
+def _first_violations(monkeypatch, q, m, n, skew):
+    """The first (l, x, y) by a brute-force loop over the skewed tables, and
+    the one parallelogram_range_counterexample finds with skew applied to
+    the rows of its tables."""
+    tables = ch._duality_tables
+
+    def skewed(q, m, n):
+        ys = list(qs.all_strings(q, n))
+        for x, lcs_row, scs_row in tables(q, m, n):
+            yield x, lcs_row, [skew(x, y, *v) for y, v in zip(ys, zip(lcs_row, scs_row))]
+
+    monkeypatch.setattr(ch, "_duality_tables", skewed)
+    for x in qs.all_strings(q, m):
+        for y in qs.all_strings(q, n):
+            lcs = lcs_length(x, y)
+            scs = skew(x, y, lcs, scs_length(x, y))
+            bad = [l for l in range(1, min(m, n)) if (lcs >= l) != (scs <= m + n - l)]
+            if bad:
+                return (bad[0], x, y), ch.parallelogram_range_counterexample(q, m, n)
+    return None, ch.parallelogram_range_counterexample(q, m, n)
+
+
 class TestDualitySweep:
     @pytest.mark.parametrize("q,max_len", [(2, 5), (3, 4)])
     def test_values_equal_the_tables(self, q, max_len):
         for m in range(max_len + 1):
             for n in range(max_len + 1):
+                ys = list(qs.all_strings(q, n))
                 want = [
-                    (x, y_rank, lcs_length(x, y), scs_length(x, y))
+                    (x, [lcs_length(x, y) for y in ys], [scs_length(x, y) for y in ys])
                     for x in qs.all_strings(q, m)
-                    for y_rank, y in enumerate(qs.all_strings(q, n))
                 ]
-                assert list(ch._duality_sweep(q, m, n)) == want, (m, n)
+                assert list(ch._duality_tables(q, m, n)) == want, (m, n)
 
     @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 4, 6), (3, 4, 4)])
     def test_first_violation_matches_brute_force(self, monkeypatch, q, m, n):
-        sweep = ch._duality_sweep
-
-        def skewed(q, m, n):
-            for x, y_rank, lcs, scs in sweep(q, m, n):
-                y = qs.string_of(y_rank, q, n)
-                yield x, y_rank, lcs, _skewed_scs(x, y, lcs, scs)
-
-        monkeypatch.setattr(ch, "_duality_sweep", skewed)
-        brute = None
-        for x in qs.all_strings(q, m):
-            for y in qs.all_strings(q, n):
-                lcs = lcs_length(x, y)
-                scs = _skewed_scs(x, y, lcs, scs_length(x, y))
-                bad = [l for l in range(1, min(m, n)) if (lcs >= l) != (scs <= m + n - l)]
-                if bad:
-                    brute = bad[0], x, y
-                    break
-            if brute is not None:
-                break
+        brute, got = _first_violations(monkeypatch, q, m, n, _skewed_scs)
         assert brute is not None and brute[0] == 2
-        assert ch.parallelogram_range_counterexample(q, m, n) == brute
+        assert got == brute
+
+    @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 4, 6), (3, 4, 4)])
+    def test_negative_supersequence_room_fails_at_length_one(self, monkeypatch, q, m, n):
+        brute, got = _first_violations(monkeypatch, q, m, n, _long_scs)
+        assert brute is not None and brute[0] == 1
+        assert got == brute
+
+    def test_peak_memory_stays_small(self):
+        # (m + 1) * 2 * sum(q**j for j <= n) = 15,302 table slots at (3, 6, 6)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert ch.parallelogram_range_counterexample(3, 6, 6) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestChannelEquivalence:

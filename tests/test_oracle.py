@@ -232,6 +232,24 @@ class TestMaxCodeExact:
             assert cert.exact and cert.verified, (q, n, s)
             assert certificate_sha256(cert) == digest, (q, n, s)
 
+    def test_every_candidate_fits_the_capacity_left(self):
+        # why _expand tests neither membership nor cost: checked on entry to
+        # every node of the benchmark's seven search rungs and (2, 6, 2)
+        class Checked(orc._CodeSearch):
+            def _expand(self, r_mask, r_size, cand, capacity):
+                rest = cand
+                while rest:
+                    low = rest & -rest
+                    assert self.cost[low.bit_length() - 1] <= capacity
+                    rest ^= low
+                super()._expand(r_mask, r_size, cand, capacity)
+
+        rungs = [(2, 7, 1), (2, 9, 2), (3, 6, 2), (4, 5, 2), (2, 10, 3), (2, 10, 4), (3, 7, 3)]
+        for q, n, s in rungs + [(2, 6, 2)]:
+            search = Checked(orc.build_conflict_graph(q, n, s))
+            _, completed = search.run(None)
+            assert completed and search.nodes > 0, (q, n, s)
+
     def test_root_orbit_rule_skips_branches(self):
         # 15,046 nodes without the rule; the code found is pinned above
         search = orc._CodeSearch(orc.build_conflict_graph(3, 6, 2))
@@ -476,3 +494,22 @@ class TestEdgeSandwich:
             edges = ch.build_channel_graph(q, l, a, b).edge_count
             constructable, upper = orc.edge_sandwich(q, l, a, b)
             assert constructable <= edges <= upper
+
+    @pytest.mark.parametrize("q,max_n", [(2, 4), (3, 3), (4, 2)])
+    def test_claim_counts_the_edges_of_the_built_graph(self, monkeypatch, q, max_n):
+        # a sandwich that closes on the built graph's edge count passes, and
+        # one just above it fails and names that count
+        def exact(q, l, a, b, shift=0):
+            edges = ch.build_channel_graph(q, l, a, b).edge_count
+            return edges + shift, edges + shift
+
+        caps = orc.VerifyCaps(max_n=max_n)
+        monkeypatch.setattr(orc, "edge_sandwich", exact)
+        assert orc.run_check("edge_bounds", q, caps).passed
+        monkeypatch.setattr(orc, "edge_sandwich", lambda *args: exact(*args, shift=1))
+        check = orc.run_check("edge_bounds", q, caps)
+        edges = ch.build_channel_graph(q, 1, 0, 0).edge_count
+        assert check.instances == 1
+        assert check.counterexample == (
+            f"q={q} l=1 a=0 b=0 constructable={edges + 1} edges={edges} upper={edges + 1}"
+        )
