@@ -25,6 +25,7 @@ from delins.channels import (
     build_channel_graph,
     channel_output_set,
     check_channel_equivalence,
+    deletion_ranks,
     deletion_set,
     insertion_ranks,
     insertion_set,

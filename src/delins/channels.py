@@ -6,13 +6,17 @@ bipartite graph over inputs of length l+a and outputs of length l+b joins
 two strings whenever they share a common subsequence of length l; the
 neighborhood of an input is exactly its channel output set.
 
-Output sets come in two forms.  insertion_set and channel_output_set build
-sets of tuples and are the reference route of the tests; insertion_ranks
-and output_ranks enumerate base-q ranks without duplicates, and every other
-caller uses them; output_ranks reaches each deletion result by one deletion
-per run at a time.  degree_histogram counts the graph's degrees as
-qstrings.orbit_tally of the output count, one output set per orbit
-representative, so only an export builds the graph.
+Output sets come in two forms.  deletion_set, insertion_set and
+channel_output_set build sets of tuples: they are the reference route of
+the tests, and deletion_set re-checks code certificates.  deletion_ranks,
+insertion_ranks and output_ranks enumerate base-q ranks without
+duplicates, and every other caller uses them.  Both rank enumerators walk
+leftmost embeddings: a deleted block never holds the kept symbol after it,
+and an inserted word never holds the symbol of x after it, so each result
+is reached once.  output_ranks hands the rank of each a-deletion result
+straight to the insertion enumerator.  degree_histogram counts the graph's
+degrees as qstrings.orbit_tally of the output count, one output set per
+orbit representative, so only an export builds the graph.
 conflict_masks ORs each group of inputs sharing an output into their
 conflict rows.  The inputs sharing a deletion result z are the insertion
 ball of z, so deletion_groups builds no deletion set.  The s-deletion
@@ -27,6 +31,7 @@ of y, and one symbol more of x updates both rows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -88,6 +93,12 @@ def _avoiding_words(q: int, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+@lru_cache(maxsize=64)
+def _weights(q: int, n: int) -> tuple[int, ...]:
+    """q ** (n - g) for g = 0 .. n: item g + 1 is the place value of x[g]."""
+    return tuple(q ** (n - g) for g in range(n + 1))
+
+
 def insertion_ranks(x: Qstr, s: int, q: int) -> list[int]:
     """Base-q ranks of insertion_set(x, s, q), each exactly once, unordered.
 
@@ -103,28 +114,33 @@ def insertion_ranks(x: Qstr, s: int, q: int) -> list[int]:
     check_alphabet(q)
     if s < 0:
         raise ValueError(f"cannot insert {s} symbols")
+    return _insertion_ranks(rank_of(x, q), len(x), s, q)
+
+
+def _insertion_ranks(rank: int, m: int, s: int, q: int) -> list[int]:
+    """insertion_ranks of the string x of this rank in [q]^m."""
     if s == 0:
-        return [rank_of(x, q)]
-    m = len(x)
-    suffix = [0] * (m + 1)  # suffix[g] is the rank of x[g:]
-    weight = [1] * (m + 1)  # weight[g] is q ** (m - g)
-    for g in range(m - 1, -1, -1):
-        weight[g] = weight[g + 1] * q
-        suffix[g] = x[g] * weight[g + 1] + suffix[g + 1]
+        return [rank]
+    weight = _weights(q, m)
+    suffix = [rank % w for w in weight]  # suffix[g] is the rank of x[g:]
     # inserting a word w of length k before x[g] maps the rank r of p + x[g:]
     # to r * q**k + offset; moves[k] lists (offset, g + 1) gap by gap, with
-    # (q-1)**k words per gap
+    # (q-1)**k words per gap; x[g] is suffix[g] // weight[g + 1]
     moves: list[list[tuple[int, int]]] = [[]]
     for k in range(1, s + 1):
         words = _avoiding_words(q, k)
         shift = 1 - q ** k
         moves.append(
-            [(w * weight[g] + suffix[g] * shift, g + 1) for g in range(m) for w in words[x[g]]]
+            [
+                (w * weight[g] + suffix[g] * shift, g + 1)
+                for g in range(m)
+                for w in words[suffix[g] // weight[g + 1]]
+            ]
         )
     out: list[int] = []
     # states[left]: (rank of p + x[g:], first open gap g), left insertions to go
     states: list[list[tuple[int, int]]] = [[] for _ in range(s + 1)]
-    states[s].append((suffix[0], 0))
+    states[s].append((rank, 0))
     for left in range(s, 0, -1):
         current = states[left]
         span = q ** left
@@ -141,29 +157,80 @@ def insertion_ranks(x: Qstr, s: int, q: int) -> list[int]:
     return out
 
 
-def _deletion_results(x: Qstr, a: int) -> set[Qstr]:
-    """deletion_set(x, a), built as a rounds of one deletion per run.
+def deletion_ranks(x: Qstr, a: int, q: int) -> list[int]:
+    """Base-q ranks of deletion_set(x, a), each exactly once, unordered.
 
-    Deleting any symbol of a run gives the same string, so deleting the first
-    symbol of each run gives every one-deletion result once; the set removes
-    what two rounds reach by different paths."""
-    level = {x}
-    for _ in range(a):
-        level = {
-            z[:i] + z[i + 1:] for z in level for i in range(len(z)) if i == 0 or z[i] != z[i - 1]
-        }
-    return level
+    A subsequence z of x is fixed by its leftmost embedding in x: a deleted
+    block x[h:e] followed by a kept x[e] does not hold the symbol x[e], so
+    it starts after the last x[e] before e; a block that runs to the end of
+    x is free.  At a fixed start the rule is not monotone in the length
+    (x = 0010 may delete x[0:2] but not x[0:1]), so every length is tried.
+    A partial result is kept as the rank r of p + x[g:], p being what is
+    kept so far and g the first position where the next block may start, so
+    deleting x[h:e] with h >= g is one step,
+    r // q**(n-h) * q**(n-e) + rank(x[e:]), and the next block starts after
+    the kept x[e].  States are grouped by deletions left; those with none
+    left are results.  deletion_set stays the independent reference route.
+    """
+    check_alphabet(q)
+    n = len(x)
+    if not 0 <= a <= n:
+        raise ValueError(f"cannot delete {a} symbols from a string of length {n}")
+    rank = 0
+    for c in x:
+        rank = rank * q + c
+    if a == 0:
+        return [rank]
+    weight = _weights(q, n)
+    suffix = [rank % w for w in weight]  # suffix[g] is the rank of x[g:]
+    # At a fixed end e the allowed lengths run from 1 up to the distance to
+    # the last x[e] before e, so the blocks of length k are those of length
+    # k - 1 whose x[e - k] is not x[e].  ends[k] lists the end e of every
+    # allowed block x[e-k:e] in order, the trailing block e = n last.
+    ends: list[list[int]] = [[]]
+    inner: Iterable[int] = range(n)
+    for k in range(1, a + 1):
+        inner = [e for e in inner if e >= k and x[e] != x[e - k]]
+        ends.append(inner + [n])
+    out: list[int] = []
+    # states[left]: (rank of p + x[g:], first start g), left deletions to go
+    states: list[list[tuple[int, int]]] = [[] for _ in range(a + 1)]
+    states[a].append((rank, 0))
+    for left in range(a, 0, -1):
+        current = states[left]
+        for k in range(1, left + 1):
+            allowed = ends[k]
+            if k == left:
+                out += [
+                    r // weight[e - k] * weight[e] + suffix[e]
+                    for r, g in current
+                    for e in allowed[bisect_left(allowed, g + k):]
+                ]
+            else:
+                # a block starting at n - left or later leaves no room for the rest
+                stop = bisect_left(allowed, n - left + k)
+                states[left - k] += [
+                    (r // weight[e - k] * weight[e] + suffix[e], e + 1)
+                    for r, g in current
+                    for e in allowed[bisect_left(allowed, g + k):stop]
+                ]
+    return out
 
 
 def output_ranks(x: Qstr, a: int, b: int, q: int) -> set[int]:
-    """Base-q ranks of channel_output_set(x, a, b, q): the union of
-    insertion_ranks over the a-deletion results of x."""
-    x = tuple(x)
-    if not 0 <= a <= len(x):
-        raise ValueError(f"cannot delete {a} symbols from a string of length {len(x)}")
+    """Base-q ranks of channel_output_set(x, a, b, q): the union of the
+    insertion ranks of every rank of deletion_ranks(x, a, q).  Each
+    a-deletion result is reached once, as its rank, and goes to the
+    insertion enumerator with no tuple built."""
+    if b < 0:
+        raise ValueError(f"cannot insert {b} symbols")
+    results = deletion_ranks(x, a, q)
+    if b == 0:
+        return set(results)
+    m = len(x) - a
     out: set[int] = set()
-    for z in _deletion_results(x, a):
-        out.update(insertion_ranks(z, b, q))
+    for z in results:
+        out.update(_insertion_ranks(z, m, b, q))
     return out
 
 

@@ -456,7 +456,10 @@ def _check_insert_delete(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
                     x, y = cdc.insert_step(triple, q)
                     for u, v in pairs:
                         instances += 1
-                        got = cdc.delete_step(x + u, y + v, q)
+                        try:
+                            got = cdc.delete_step(x + u, y + v, q)
+                        except cdc.NotDeconstructableError:
+                            got = None  # a refusal fails the instance like a wrong answer
                         if got != (triple, u, v):
                             return instances, (
                                 f"q={q} side={side} offset={offset} "

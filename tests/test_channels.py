@@ -182,6 +182,66 @@ class TestInsertionRanks:
         with pytest.raises(ValueError, match="cannot delete 2 symbols from a string of length 1"):
             ch.output_ranks((0,), 2, 0, 2)
 
+    def test_output_ranks_rejects_bad_alphabet_and_insertions(self):
+        # at b = 0 no insertion enumerator runs, so the alphabet check is the
+        # deletion enumerator's own
+        for q in (1, 0):
+            with pytest.raises(ValueError, match="alphabet size must be at least 2"):
+                ch.output_ranks((0, 0), 1, 0, q)
+        with pytest.raises(ValueError, match="cannot insert -1 symbols"):
+            ch.output_ranks((0, 1), 1, -1, 2)
+
+    def test_output_ranks_rank_no_result_at_b0(self, monkeypatch):
+        # the a-deletion results come out as ranks: no insertion enumerator
+        # and no rank_of per result
+        cases = [((0, 1, 1, 0, 2, 2, 1), a, 0) for a in range(8)] + [((0, 0, 1, 0), 2, 0)]
+        expected = [ch.output_ranks(x, a, b, 3) for x, a, b in cases]
+
+        def refuse(name):
+            return lambda *args: pytest.fail(f"{name} called")
+
+        for module, name in ((ch, "insertion_ranks"), (ch, "rank_of"), (qs, "rank_of")):
+            monkeypatch.setattr(module, name, refuse(name))
+        assert [ch.output_ranks(x, a, b, 3) for x, a, b in cases] == expected
+
+
+class TestDeletionRanks:
+    def test_examples(self):
+        assert ch.deletion_ranks((0, 1), 0, 2) == [1]
+        assert ch.deletion_ranks((), 0, 3) == [0]
+        assert sorted(ch.deletion_ranks((0, 1, 1, 2), 1, 3)) == [4, 5, 14]  # 011, 012, 112
+
+    def test_block_rule_is_not_monotone_at_a_fixed_start(self):
+        # 10 keeps x[2:]: its leftmost embedding deletes x[0:2], although
+        # the shorter block x[0:1] is not allowed
+        ranks = ch.deletion_ranks((0, 0, 1, 0), 2, 2)
+        assert sorted(ranks) == [0, 1, 2]  # 00, 01, 10
+
+    def test_trailing_block_is_free(self):
+        # x[0:1] is not allowed before the kept x[1] = 0; the empty string
+        # comes from the block that runs to the end
+        assert ch.deletion_ranks((0, 0), 2, 2) == [0]
+        assert sorted(ch.deletion_ranks((1, 1, 0), 2, 2)) == [0, 1]
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="cannot delete 3 symbols from a string of length 2"):
+            ch.deletion_ranks((0, 1), 3, 2)
+        with pytest.raises(ValueError, match="cannot delete -1 symbols"):
+            ch.deletion_ranks((0, 1), -1, 2)
+        with pytest.raises(ValueError, match="alphabet size"):
+            ch.deletion_ranks((0, 1), 1, 1)
+
+    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 6), (4, 5)])
+    def test_duplicate_free_and_equal_to_deletion_set(self, q, max_n):
+        for n in range(max_n + 1):
+            for x in qs.all_strings(q, n):
+                for a in range(n + 1):
+                    ranks = ch.deletion_ranks(x, a, q)
+                    assert isinstance(ranks, list)
+                    assert len(ranks) == len(set(ranks)), (q, x, a)
+                    brute = {qs.rank_of(z, q) for z in ch.deletion_set(x, a)}
+                    assert set(ranks) == brute, (q, x, a)
+
 
 class TestOrbitDegrees:
     @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])

@@ -8,6 +8,7 @@ import pytest
 
 from delins import channels as ch
 from delins import cli
+from delins import codec as cdc
 
 
 def run_cli(capsys, *args):
@@ -149,6 +150,29 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "usage error" in err and "--max-n" in err
+
+    def test_refused_delete_step_fails_its_line(self, capsys, monkeypatch):
+        # a refusal inside the inversion check is that claim's counterexample
+        # (exit 1, every line printed), not a usage error
+        real = cdc.delete_step
+        calls = []
+
+        def refuses_fifth(x, y, q):
+            calls.append((x, y))
+            if len(calls) == 5:
+                raise cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head")
+            return real(x, y, q)
+
+        monkeypatch.setattr(cdc, "delete_step", refuses_fifth)
+        code, out, err = run_cli(capsys, "verify", "--q", "2", "--max-n", "3")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert len(lines) == 9
+        assert lines[3:5] == [
+            "insert/delete inversion           FAIL  (instances=5)",
+            "  counterexample: q=2 side=left offset=1 w=00 u=1 v=0",
+        ]
+        assert sum(" PASS " in line for line in lines) == 7
 
     def test_cap_exceeded_exit_three(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--q", "2", "--max-n", "40")

@@ -427,6 +427,26 @@ class TestVerifyAllLemmas:
         assert not roundtrip.passed
         assert roundtrip.counterexample is not None
 
+    def test_refused_delete_step_is_the_inversion_counterexample(self, monkeypatch):
+        # a delete_step that refuses an instance fails the inversion claim
+        # there, like a wrong answer would; the other claims still run
+        real = cdc.delete_step
+        calls = []
+
+        def refuses_fifth(x, y, q):
+            calls.append((x, y))
+            if len(calls) == 5:
+                raise cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head")
+            return real(x, y, q)
+
+        monkeypatch.setattr(cdc, "delete_step", refuses_fifth)
+        checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=3))
+        assert len(checks) == 8
+        inversion = [c for c in checks if c.name == "insert/delete inversion"][0]
+        assert (inversion.passed, inversion.instances) == (False, 5)
+        assert inversion.counterexample == "q=2 side=left offset=1 w=00 u=1 v=0"
+        assert all(c.passed for c in checks if c is not inversion)
+
     def test_claim_that_ran_no_instance_does_not_pass(self):
         checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=1))
         empty = [c for c in checks if c.instances == 0]
