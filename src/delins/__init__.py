@@ -49,7 +49,6 @@ from delins.oracle import (
     CodeCertificate,
     ConflictGraph,
     LemmaCheck,
-    VerifyCaps,
     build_conflict_graph,
     max_code_exact,
     packing_code_bound,

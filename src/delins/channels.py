@@ -297,26 +297,8 @@ class ChannelGraph:
     adjacency: tuple[tuple[int, ...], ...]
 
     @property
-    def left_length(self) -> int:
-        return self.l + self.a
-
-    @property
-    def right_length(self) -> int:
-        return self.l + self.b
-
-    @property
-    def right_size(self) -> int:
-        return self.q ** self.right_length
-
-    @property
     def edge_count(self) -> int:
         return sum(len(neigh) for neigh in self.adjacency)
-
-    def left_string(self, rank: int) -> Qstr:
-        return string_of(rank, self.q, self.left_length)
-
-    def right_string(self, rank: int) -> Qstr:
-        return string_of(rank, self.q, self.right_length)
 
     def degree_histogram(self) -> Counter[int]:
         return Counter(len(neigh) for neigh in self.adjacency)
@@ -328,11 +310,11 @@ class ChannelGraph:
         Each right vertex is formatted once; each left vertex's lines are
         written as one block.
         """
-        q = self.q
-        fp.write(f"{q} {self.l} {self.a} {self.b}\n")
-        right_text = [format_qary(self.right_string(r), q) for r in range(self.right_size)]
+        q, l, a, b = self.q, self.l, self.a, self.b
+        fp.write(f"{q} {l} {a} {b}\n")
+        right_text = [format_qary(string_of(r, q, l + b), q) for r in range(q ** (l + b))]
         for left_rank, neigh in enumerate(self.adjacency):
-            head = format_qary(self.left_string(left_rank), q)
+            head = format_qary(string_of(left_rank, q, l + a), q)
             fp.write("".join([f"{head} {right_text[r]}\n" for r in neigh]))
 
 

@@ -92,8 +92,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 2:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
-    caps = orc.VerifyCaps(max_n=args.max_n, cap=args.cap)
-    checks = orc.verify_all_lemmas(args.q, caps)
+    checks = orc.verify_all_lemmas(args.q, args.max_n, args.cap)
     width = max(len(c.name) for c in checks)
     failed = False
     for c in checks:

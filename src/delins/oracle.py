@@ -8,8 +8,10 @@ are errors, never approximations; a timed-out search returns its incumbent
 flagged as a lower bound only.
 
 Each exhaustive claim is one function over its instance grid, registered in
-CHECKS and run through run_check: by `delins verify` (verify_all_lemmas) and
-by the acceptance suite at larger grids.  `codec --roundtrip` and `graph`
+CHECKS with its grid ceiling.  run_check(key, q, limit, cap) runs one claim
+up to length limit, unclamped, as the acceptance suite does at larger grids;
+`delins verify` (verify_all_lemmas) runs every claim at the smaller of its
+ceiling and max_n.  `codec --roundtrip` and `graph`
 run the per-instance parts, codec.roundtrip_counterexample and
 edge_sandwich.  The duality claim reads the prefix-shared LCS/SCS tables of
 channels.parallelogram_range_counterexample, and the edge sandwich counts
@@ -71,9 +73,6 @@ class ConflictGraph:
     @property
     def conflict_count(self) -> int:
         return sum(m.bit_count() for m in self.masks) // 2
-
-    def vertex_string(self, rank: int) -> Qstr:
-        return string_of(rank, self.q, self.n)
 
 
 def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> ConflictGraph:
@@ -280,7 +279,7 @@ def max_code_exact(graph: ConflictGraph, time_limit: float | None = None) -> Cod
     search = _CodeSearch(graph)
     best_mask, completed = search.run(time_limit)
     ranks = sorted(graph.order[v] for v in range(graph.size) if best_mask >> v & 1)
-    words = tuple(graph.vertex_string(r) for r in ranks)
+    words = tuple(string_of(r, graph.q, graph.n) for r in ranks)
     cert = CodeCertificate(graph.q, graph.n, graph.s, words, verified=False, exact=completed)
     return verify_certificate(cert)
 
@@ -341,22 +340,6 @@ class LemmaCheck:
     counterexample: str | None = None
 
 
-@dataclass(frozen=True)
-class VerifyCaps:
-    """Knobs for the exhaustive verification sweep.
-
-    max_n bounds every string length; the remaining fields bound the
-    quadratic or codec-heavy checks and are clamped by max_n.
-    """
-
-    max_n: int = 7
-    pair_length: int = 5
-    graph_l: int = 5
-    codec_l: int = 6
-    interval_length: int = 5
-    cap: int = DEFAULT_CAP
-
-
 # Most errors a + b of any split the sweep checks, the longest suffix
 # appended to both sides of an insert step by the inversion check, and the
 # eps values at which the run-count check compares.
@@ -364,20 +347,23 @@ MAX_S = 2
 SUFFIX_LENGTH = 2
 EPS_GRID = (0.1, 0.2, 0.3, 0.5)
 
-# The claim registry: check key -> report name, in report order.  Each
-# _check_<key>(q, caps) runs one claim over its instance grid and returns
-# (instances run, first counterexample or None).  run_check looks the
-# function up in this module when it runs, so rebinding oracle._check_<key>
-# (as a tracer or a test does) changes what runs.
+# The claim registry: check key -> (report name, grid ceiling), in report
+# order.  Each _check_<key>(q, limit, cap) runs one claim over its instance
+# grid up to length limit and returns (instances run, first counterexample
+# or None).  verify_all_lemmas runs each claim at min(ceiling, max_n), or at
+# max_n for a claim with no ceiling; the quadratic and codec-heavy claims
+# have one.  run_check looks the function up in this module when it runs, so
+# rebinding oracle._check_<key> (as a tracer or a test does) changes what
+# runs.
 CHECKS = {
-    "parallelogram": "substring parallelogram",
-    "channel_equivalence": "channel conflict equivalence",
-    "edge_bounds": "edge count sandwich",
-    "insert_delete": "insert/delete inversion",
-    "roundtrip": "construct/deconstruct round-trip",
-    "degree_lower_bound": "degree lower bound",
-    "alternating_bound": "alternating interval count",
-    "runs_bound": "run count concentration",
+    "parallelogram": ("substring parallelogram", 5),
+    "channel_equivalence": ("channel conflict equivalence", 5),
+    "edge_bounds": ("edge count sandwich", 5),
+    "insert_delete": ("insert/delete inversion", 5),
+    "roundtrip": ("construct/deconstruct round-trip", 6),
+    "degree_lower_bound": ("degree lower bound", None),
+    "alternating_bound": ("alternating interval count", None),
+    "runs_bound": ("run count concentration", None),
 }
 
 
@@ -389,12 +375,11 @@ def _pair(x: Qstr, y: Qstr, q: int) -> str:
     return f"x={format_qary(x, q)} y={format_qary(y, q)}"
 
 
-def _check_parallelogram(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
-    limit = min(caps.pair_length, caps.max_n)
+def _check_parallelogram(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     for m in range(2, limit + 1):
         for n in range(2, limit + 1):
-            witness = ch.parallelogram_range_counterexample(q, m, n, caps.cap)
+            witness = ch.parallelogram_range_counterexample(q, m, n, cap)
             instances += q ** (m + n) * (min(m, n) - 1)
             if witness is not None:
                 l, x, y = witness
@@ -402,12 +387,11 @@ def _check_parallelogram(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     return instances, None
 
 
-def _check_channel_equivalence(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
-    limit = min(caps.pair_length, caps.max_n)
+def _check_channel_equivalence(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     for n in range(1, limit + 1):
         for a, b in _splits(min(MAX_S, n)):
-            witness = ch.channel_equivalence_counterexample(q, n, a, b, caps.cap)
+            witness = ch.channel_equivalence_counterexample(q, n, a, b, cap)
             instances += q ** (2 * n)
             if witness is not None:
                 return instances, f"q={q} n={n} a={a} b={b} {_pair(*witness, q)}"
@@ -420,12 +404,11 @@ def edge_sandwich(q: int, l: int, a: int, b: int) -> tuple[int, int]:
     return cdc.parameter_count(q, l, a, b), bnd.edge_count_upper(q, l, a, b)
 
 
-def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
-    limit = min(caps.graph_l, caps.max_n)
+def _check_edge_bounds(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     for l in range(1, limit + 1):
         for a, b in _splits(MAX_S):
-            histogram = ch.degree_histogram(q, l, a, b, caps.cap)
+            histogram = ch.degree_histogram(q, l, a, b, cap)
             edges = sum(d * c for d, c in histogram.items())
             constructable, upper = edge_sandwich(q, l, a, b)
             instances += 1
@@ -437,10 +420,10 @@ def _check_edge_bounds(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     return instances, None
 
 
-def _check_insert_delete(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
+def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     suffixes: list[Qstr] = [()]
-    for length in range(1, min(SUFFIX_LENGTH, caps.max_n) + 1):
+    for length in range(1, min(SUFFIX_LENGTH, limit) + 1):
         suffixes.extend(all_strings(q, length))
     pairs = [
         (u, v)
@@ -448,7 +431,7 @@ def _check_insert_delete(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
         for v in suffixes
         if (not u and not v) or (u and v and u[0] != v[0])
     ]
-    for length in range(2, min(caps.interval_length, caps.max_n) + 1):
+    for length in range(2, limit + 1):
         for w in non_alternating_strings(q, length):
             for side in (cdc.LEFT, cdc.RIGHT):
                 for offset in range(1, q):
@@ -469,20 +452,19 @@ def _check_insert_delete(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
     return instances, None
 
 
-def _check_roundtrip(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
-    limit = min(caps.codec_l, caps.max_n)
+def _check_roundtrip(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     for l in range(1, limit + 1):
         for a, b in _splits(MAX_S):
-            count, failure = cdc.roundtrip_counterexample(q, l, a, b, caps.cap)
+            count, failure = cdc.roundtrip_counterexample(q, l, a, b, cap)
             instances += count
             if failure is not None:
                 return instances, f"q={q} l={l} a={a} b={b} {_pair(*failure, q)}"
     return instances, None
 
 
-def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
-    limit = min(caps.max_n, 8 if q == 2 else 5)
+def _check_degree_lower_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
+    limit = min(limit, 8 if q == 2 else 5)
     instances = 0
     for n in range(1, limit + 1):
         for x in all_strings(q, n):
@@ -499,57 +481,59 @@ def _check_degree_lower_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None
     return instances, None
 
 
-def _check_alternating_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
+def _check_alternating_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
-    for n in range(2, caps.max_n + 1):
+    for n in range(2, limit + 1):
         histogram = [0] * (n + 1)
         for x in all_strings(q, n):
             histogram[string_stats(x).longest_alternating] += 1
         for c in range(2, n + 1):
             count = sum(histogram[c:])
-            limit = bnd.alternating_interval_bound(q, n, c)
+            bound = bnd.alternating_interval_bound(q, n, c)
             instances += 1
-            if count > limit:
-                return instances, f"q={q} n={n} c={c} count={count} bound={limit}"
+            if count > bound:
+                return instances, f"q={q} n={n} c={c} count={count} bound={bound}"
     return instances, None
 
 
-def _check_runs_bound(q: int, caps: VerifyCaps) -> tuple[int, str | None]:
+def _check_runs_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
-    for n in range(1, caps.max_n + 1):
+    for n in range(1, limit + 1):
         histogram = [0] * (n + 2)
         for x in all_strings(q, n):
             histogram[string_stats(x).runs] += 1
         for eps in EPS_GRID:
             count = sum(histogram[: max(bnd.few_runs_cutoff(q, n, eps), 0) + 1])
-            limit = bnd.few_runs_bound(q, n, eps)
+            bound = bnd.few_runs_bound(q, n, eps)
             instances += 1
-            if count > limit + 1e-12 * max(1.0, limit):
-                return instances, f"q={q} n={n} eps={eps} count={count} bound={limit}"
+            if count > bound + 1e-12 * max(1.0, bound):
+                return instances, f"q={q} n={n} eps={eps} count={count} bound={bound}"
     return instances, None
 
 
-def run_check(key: str, q: int, caps: VerifyCaps) -> LemmaCheck:
-    """Run the registered claim `key` over its instance grid at these caps.
+def run_check(key: str, q: int, limit: int, cap: int = DEFAULT_CAP) -> LemmaCheck:
+    """Run the registered claim `key` over its instance grid up to length
+    limit, unclamped by the claim's ceiling.
 
     A claim that ran no instance has shown nothing, so it does not pass.
     """
-    instances, counterexample = globals()[f"_check_{key}"](q, caps)
+    instances, counterexample = globals()[f"_check_{key}"](q, limit, cap)
     if instances == 0 and counterexample is None:
         counterexample = "no instance in range"
-    return LemmaCheck(CHECKS[key], counterexample is None, instances, counterexample)
+    return LemmaCheck(CHECKS[key][0], counterexample is None, instances, counterexample)
 
 
-def verify_all_lemmas(q: int, caps: VerifyCaps | None = None) -> list[LemmaCheck]:
-    """Run every registered claim at the given caps, one report line each.
+def verify_all_lemmas(q: int, max_n: int, cap: int = DEFAULT_CAP) -> list[LemmaCheck]:
+    """Run every registered claim up to length max_n, clamped by its
+    ceiling, one report line each.
 
     Raises CapExceededError up front when the requested lengths cannot be
     enumerated under the cap.
     """
     check_alphabet(q)
-    caps = caps or VerifyCaps()
-    if q ** caps.max_n > caps.cap:
-        raise CapExceededError(
-            f"string enumeration at q={q}, n={caps.max_n}", q ** caps.max_n, caps.cap
-        )
-    return [run_check(key, q, caps) for key in CHECKS]
+    if q ** max_n > cap:
+        raise CapExceededError(f"string enumeration at q={q}, n={max_n}", q ** max_n, cap)
+    return [
+        run_check(key, q, max_n if ceiling is None else min(ceiling, max_n), cap)
+        for key, (_, ceiling) in CHECKS.items()
+    ]

@@ -108,16 +108,17 @@ def format_qary(x: Qstr, q: int) -> str:
 
 
 def parse_qary(text: str, q: int) -> Qstr:
+    """The inverse of format_qary: ASCII decimal digits only, one per symbol
+    for q <= 10 and one comma-separated number per symbol above that.  No
+    sign, space, underscore or non-ASCII digit is accepted."""
     check_alphabet(q)
-    text = text.strip()
     if not text:
         return ()
-    if q <= 10:
-        if not text.isdigit():
-            raise ValueError(f"expected a digit string, got {text!r}")
-        syms = tuple(int(ch) for ch in text)
-    else:
-        syms = tuple(int(part) for part in text.split(","))
+    parts = text if q <= 10 else text.split(",")
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        form = "a digit string" if q <= 10 else "comma-separated decimal symbols"
+        raise ValueError(f"expected {form}, got {text!r}")
+    syms = tuple(int(part) for part in parts)
     for sym in syms:
         if not 0 <= sym < q:
             raise ValueError(f"symbol {sym} out of range for alphabet of size {q}")

@@ -67,7 +67,7 @@ def test_criterion_01_roundtrip_full_range():
     total = 0
     for q in (2, 3):
         # l = 1..8, every split with at most two errors
-        check = orc.run_check("roundtrip", q, orc.VerifyCaps(max_n=8, codec_l=8))
+        check = orc.run_check("roundtrip", q, 8)
         assert check.passed, check.counterexample
         total += check.instances
     assert total > 200_000
@@ -96,11 +96,11 @@ def test_criterion_02_edge_count_sandwich():
                 )
                 assert degree_sum == edges, (q, l, a, b)
                 # direct quadratic LCS enumeration where feasible
-                if len(graph.adjacency) * graph.right_size <= PAIR_CAP:
+                if q ** (l + a) * q ** (l + b) <= PAIR_CAP:
                     lcs_edges = 0
                     rights = list(qs.all_strings(q, l + b))
                     for rank in range(len(graph.adjacency)):
-                        x = graph.left_string(rank)
+                        x = qs.string_of(rank, q, l + a)
                         neighbors = set(graph.adjacency[rank])
                         for yr, y in enumerate(rights):
                             hit = lcs_at_least(x, y, l)
@@ -134,7 +134,7 @@ def test_criterion_04_concentration_bounds_soundness():
     for q in (2, 3):
         # n = 1..10; every c in [2, n], every eps in oracle.EPS_GRID
         for key in ("alternating_bound", "runs_bound"):
-            check = orc.run_check(key, q, orc.VerifyCaps(max_n=10))
+            check = orc.run_check(key, q, 10)
             assert check.passed, check.counterexample
             checked += check.instances
     _report(4, f"interval and run concentration bounds ({checked} comparisons)")
@@ -144,7 +144,7 @@ def test_criterion_05_duality_and_equivalence():
     instances = 0
     for q in (2, 3):
         # m, n = 2..6, every l in [1, min(m, n))
-        check = orc.run_check("parallelogram", q, orc.VerifyCaps(max_n=6, pair_length=6))
+        check = orc.run_check("parallelogram", q, 6)
         assert check.passed, check.counterexample
         instances += check.instances
     ran = 0

@@ -308,8 +308,9 @@ class TestChannelOutputSet:
 
 
 def edge_set(graph: ch.ChannelGraph) -> set:
+    q, l, a, b = graph.q, graph.l, graph.a, graph.b
     return {
-        (graph.left_string(r), graph.right_string(y))
+        (qs.string_of(r, q, l + a), qs.string_of(y, q, l + b))
         for r, neigh in enumerate(graph.adjacency)
         for y in neigh
     }
@@ -340,7 +341,7 @@ class TestChannelGraph:
         for q, l, a, b in [(2, 3, 1, 0), (2, 2, 1, 1), (2, 3, 2, 0), (3, 2, 1, 1)]:
             graph = ch.build_channel_graph(q, l, a, b)
             for rank in range(len(graph.adjacency)):
-                x = graph.left_string(rank)
+                x = qs.string_of(rank, q, l + a)
                 expected = {
                     qs.rank_of(y, q) for y in ch.channel_output_set(x, a, b, q)
                 }
@@ -350,10 +351,9 @@ class TestChannelGraph:
         for q, l, a, b in [(2, 2, 1, 1), (2, 4, 1, 0), (3, 2, 1, 0)]:
             graph = ch.build_channel_graph(q, l, a, b)
             for xr in range(len(graph.adjacency)):
-                x = graph.left_string(xr)
+                x = qs.string_of(xr, q, l + a)
                 neighbor_set = set(graph.adjacency[xr])
-                for yr in range(graph.right_size):
-                    y = graph.right_string(yr)
+                for yr, y in enumerate(qs.all_strings(q, l + b)):
                     assert (yr in neighbor_set) == lcs_at_least(x, y, l)
 
     def test_reversal_symmetry(self):

@@ -120,6 +120,18 @@ alternating interval count        PASS  (instances=10)
 run count concentration           PASS  (instances=20)
 """
 
+# the default --max-n 7: every grid ceiling (5, or 6 for the round trip) binds
+VERIFY_Q2_N7 = """\
+substring parallelogram           PASS  (instances=10064)
+channel conflict equivalence      PASS  (instances=8172)
+edge count sandwich               PASS  (instances=30)
+insert/delete inversion           PASS  (instances=1976)
+construct/deconstruct round-trip  PASS  (instances=386)
+degree lower bound                PASS  (instances=1518)
+alternating interval count        PASS  (instances=21)
+run count concentration           PASS  (instances=28)
+"""
+
 VERIFY_Q3_N4 = """\
 substring parallelogram           PASS  (instances=31914)
 channel conflict equivalence      PASS  (instances=44253)
@@ -137,6 +149,11 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--q", "2", "--max-n", "5")
         assert code == 0
         assert out == VERIFY_Q2_N5
+
+    def test_binary_default_sweep_clamps_to_the_ceilings(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--q", "2")
+        assert code == 0
+        assert out == VERIFY_Q2_N7
 
     def test_ternary_sweep_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--q", "3", "--max-n", "4")
@@ -398,6 +415,21 @@ class TestCodec:
         code, out, _ = run_cli(capsys, "codec", "--deconstruct", "10", "01")
         assert code == 0
         assert out.startswith("NotDeconstructable")
+
+    @pytest.mark.parametrize(
+        "q,x,y",
+        [
+            ("3", "\u0661\u0662\u0660", "\u0662\u0660"),  # Arabic-Indic digits
+            ("2", "\u0661\u0660", "0"),
+            ("3", "\uff11", "0"),  # fullwidth 1
+            ("11", "1_0", "1"),
+            ("11", " 2,+3", "2"),
+        ],
+    )
+    def test_deconstruct_rejects_text_outside_the_format(self, capsys, q, x, y):
+        code, out, err = run_cli(capsys, "codec", "--q", q, "--deconstruct", x, y)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: expected ")
 
     def test_trace_lines(self, capsys):
         code, out, _ = run_cli(capsys, "codec", "--trace", "--deconstruct", "00100", "0000")

@@ -115,17 +115,17 @@ class TestDeleteStep:
             cdc.delete_step((), (0,), 2)
 
     @pytest.mark.parametrize(
-        "q,suffix_length,caps,instances",
+        "q,suffix_length,limit,instances",
         [
-            (2, 3, orc.VerifyCaps(max_n=6, interval_length=6), 22572),
-            (3, 2, orc.VerifyCaps(max_n=3, interval_length=3), 9312),
+            (2, 3, 6, 22572),
+            (3, 2, 3, 9312),
         ],
     )
-    def test_inversion_exhaustive(self, monkeypatch, q, suffix_length, caps, instances):
+    def test_inversion_exhaustive(self, monkeypatch, q, suffix_length, limit, instances):
         # every non-alternating interval, both sides, all offsets, suffix pairs
         # with differing heads plus the both-empty pair
         monkeypatch.setattr(orc, "SUFFIX_LENGTH", suffix_length)
-        result = orc.run_check("insert_delete", q, caps)
+        result = orc.run_check("insert_delete", q, limit)
         assert result.passed, result.counterexample
         assert result.instances == instances
 

@@ -394,20 +394,19 @@ class TestCertificateFormat:
 
 class TestVerifyAllLemmas:
     def test_binary_defaults_all_pass(self):
-        checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=5, pair_length=4, graph_l=4, codec_l=5))
+        checks = orc.verify_all_lemmas(2, 5)
         assert len(checks) == 8
         for check in checks:
             assert check.passed, check
             assert check.instances > 0
 
     def test_ternary_small_all_pass(self):
-        caps = orc.VerifyCaps(max_n=4, pair_length=3, graph_l=3, codec_l=4, interval_length=4)
-        for check in orc.verify_all_lemmas(3, caps):
+        for check in orc.verify_all_lemmas(3, 4):
             assert check.passed, check
 
     def test_cap_exceeded_names_instance(self):
         with pytest.raises(CapExceededError) as err:
-            orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=40))
+            orc.verify_all_lemmas(2, 40)
         assert "n=40" in str(err.value)
 
     def test_corrupted_delete_step_is_caught(self, monkeypatch):
@@ -422,7 +421,7 @@ class TestVerifyAllLemmas:
             return cdc.InsertTriple(cdc.LEFT, gap, left_prefix), lx, ly
 
         monkeypatch.setattr(cdc, "delete_step", broken_delete_step)
-        checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=5, pair_length=3, graph_l=3, codec_l=5))
+        checks = orc.verify_all_lemmas(2, 5)
         roundtrip = [c for c in checks if c.name == "construct/deconstruct round-trip"][0]
         assert not roundtrip.passed
         assert roundtrip.counterexample is not None
@@ -440,7 +439,7 @@ class TestVerifyAllLemmas:
             return real(x, y, q)
 
         monkeypatch.setattr(cdc, "delete_step", refuses_fifth)
-        checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=3))
+        checks = orc.verify_all_lemmas(2, 3)
         assert len(checks) == 8
         inversion = [c for c in checks if c.name == "insert/delete inversion"][0]
         assert (inversion.passed, inversion.instances) == (False, 5)
@@ -448,7 +447,7 @@ class TestVerifyAllLemmas:
         assert all(c.passed for c in checks if c is not inversion)
 
     def test_claim_that_ran_no_instance_does_not_pass(self):
-        checks = orc.verify_all_lemmas(2, orc.VerifyCaps(max_n=1))
+        checks = orc.verify_all_lemmas(2, 1)
         empty = [c for c in checks if c.instances == 0]
         assert [c.name for c in empty] == [
             "substring parallelogram",
@@ -489,18 +488,29 @@ class TestClaimRegistry:
     def test_rebinding_a_check_changes_what_verify_runs(self, monkeypatch):
         calls = []
         for i, key in enumerate(orc.CHECKS):
-            def fake(q, caps, key=key, i=i):
-                calls.append((key, q, caps.max_n))
+            def fake(q, limit, cap, key=key, i=i):
+                calls.append((key, q, limit, cap))
                 return i + 1, (f"fake {key}" if key == "roundtrip" else None)
 
             monkeypatch.setattr(orc, f"_check_{key}", fake)
-        checks = orc.verify_all_lemmas(3, orc.VerifyCaps(max_n=2))
-        assert calls == [(key, 3, 2) for key in orc.CHECKS]
+        checks = orc.verify_all_lemmas(3, 2, cap=1000)
+        assert calls == [(key, 3, 2, 1000) for key in orc.CHECKS]
         assert [(c.name, c.instances) for c in checks] == [
-            (name, i + 1) for i, name in enumerate(orc.CHECKS.values())
+            (name, i + 1) for i, (name, _) in enumerate(orc.CHECKS.values())
         ]
         assert [c.name for c in checks if not c.passed] == ["construct/deconstruct round-trip"]
         assert checks[4].counterexample == "fake roundtrip"
+
+    def test_run_check_takes_its_limit_and_verify_clamps_it(self):
+        # run_check runs a claim at exactly its limit; verify_all_lemmas
+        # runs it at min(ceiling, max_n), so at max_n = 8 the round trip
+        # stops at its ceiling l = 6 and prints 386 instances
+        assert orc.run_check("roundtrip", 2, 8).instances > 386
+        checks = orc.verify_all_lemmas(2, 8)
+        assert checks[4].instances == 386
+        for check, (key, (_, ceiling)) in zip(checks, orc.CHECKS.items()):
+            limit = 8 if ceiling is None else ceiling
+            assert check == orc.run_check(key, 2, limit)
 
 
 class TestEdgeSandwich:
@@ -523,11 +533,10 @@ class TestEdgeSandwich:
             edges = ch.build_channel_graph(q, l, a, b).edge_count
             return edges + shift, edges + shift
 
-        caps = orc.VerifyCaps(max_n=max_n)
         monkeypatch.setattr(orc, "edge_sandwich", exact)
-        assert orc.run_check("edge_bounds", q, caps).passed
+        assert orc.run_check("edge_bounds", q, max_n).passed
         monkeypatch.setattr(orc, "edge_sandwich", lambda *args: exact(*args, shift=1))
-        check = orc.run_check("edge_bounds", q, caps)
+        check = orc.run_check("edge_bounds", q, max_n)
         edges = ch.build_channel_graph(q, 1, 0, 0).edge_count
         assert check.instances == 1
         assert check.counterexample == (

@@ -100,6 +100,30 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             qs.parse_qary("021", 2)
 
+    # text that int() and str.isdigit() take but that is not format_qary's:
+    # non-ASCII digits, underscores, signs and spaces
+    @pytest.mark.parametrize(
+        "text,q",
+        [
+            ("\u0661\u0660", 2),  # Arabic-Indic 1, 0
+            ("\uff11", 3),  # fullwidth 1
+            ("\u00b2", 3),  # superscript 2
+            ("1_0", 11),
+            (" 2,+3", 11),
+            ("2,+3", 11),
+            ("0,1 ", 12),
+            ("0,,1", 12),
+            (" 01", 2),
+            ("-1", 11),
+        ],
+    )
+    def test_accepts_ascii_decimal_digits_only(self, text, q):
+        with pytest.raises(ValueError, match="expected "):
+            qs.parse_qary(text, q)
+
+    def test_empty_text_is_the_empty_string(self):
+        assert qs.parse_qary("", 2) == () == qs.parse_qary("", 12)
+
 
 class TestAlternating:
     def test_empty_and_short(self):
