@@ -363,41 +363,37 @@ def _duality_tables(q: int, m: int, n: int) -> Iterator[tuple[Qstr, list[int], l
     lcs[r] and scs[r] are the LCS and SCS lengths of x and the string of
     rank r in [q]^n.
 
-    Both strings share their prefixes.  [q]^m is walked depth first as an
-    odometer, and each prefix of x keeps one LCS row and one SCS row over
-    every prefix of y, stored level by level: level j lists the q**j
-    prefixes of length j in rank order, so the prefix of rank r extends
-    that of rank r // q at level j - 1 by the symbol r % q.  A symbol c
-    turns the rows of x[:i-1] into those of x[:i], each table by its own
-    recurrence: the entries whose last symbol is c read the old level
-    j - 1, the others the old level j and the new level j - 1.  That is
-    about (q/(q-1))**2 cell updates per pair.  The rows of the m + 1
-    prefixes on the current path hold (m + 1) * 2 * sum(q**j for j <= n)
-    slots, which the pairs cap bounds.
+    Both strings share their prefixes.  [q]^m is walked depth first by
+    recursion over the prefixes of x, and each prefix keeps one LCS row and
+    one SCS row over every prefix of y, stored level by level: level j lists
+    the q**j prefixes of length j in rank order, so the prefix of rank r
+    extends that of rank r // q at level j - 1 by the symbol r % q.  A symbol
+    c turns the rows of x[:i-1] into those of x[:i], each table by its own
+    recurrence: the entries whose last symbol is c read the old level j - 1,
+    the others the old level j and the new level j - 1.  That is about
+    (q/(q-1))**2 cell updates per pair.  Only the rows of the m + 1 prefixes
+    on the current path are alive, (m + 1) * 2 * sum(q**j for j <= n) slots,
+    which the pairs cap bounds.
     """
-    top_lcs = [[0] * q ** j for j in range(n + 1)]
-    top_scs = [[j] * q ** j for j in range(n + 1)]
-    # lcs_rows[i], scs_rows[i]: the rows of the prefix x[:i]
-    lcs_rows = [top_lcs] * (m + 1)
-    scs_rows = [top_scs] * (m + 1)
-    x = [0] * m
-    depth = 0  # rows are current up to x[:depth]
-    while True:
-        while depth < m:
-            c = x[depth]
-            lcs_old, scs_old = lcs_rows[depth], scs_rows[depth]
-            depth += 1
+
+    def extend(
+        x: Qstr, lcs_rows: list[list[int]], scs_rows: list[list[int]]
+    ) -> Iterator[tuple[Qstr, list[int], list[int]]]:
+        if len(x) == m:
+            yield x, lcs_rows[n], scs_rows[n]
+            return
+        for c in range(q):
             lcs_new = [[0]]
-            scs_new = [[depth]]
+            scs_new = [[len(x) + 1]]
             for j in range(1, n + 1):
                 lcs_up, scs_up = lcs_new[-1], scs_new[-1]
-                lcs_here, scs_here = lcs_old[j], scs_old[j]
+                lcs_here, scs_here = lcs_rows[j], scs_rows[j]
                 lcs_level = [0] * len(lcs_here)
                 scs_level = [0] * len(scs_here)
                 for s in range(q):
                     if s == c:
-                        lcs_level[s::q] = [v + 1 for v in lcs_old[j - 1]]
-                        scs_level[s::q] = [v + 1 for v in scs_old[j - 1]]
+                        lcs_level[s::q] = [v + 1 for v in lcs_rows[j - 1]]
+                        scs_level[s::q] = [v + 1 for v in scs_rows[j - 1]]
                     else:
                         lcs_level[s::q] = [
                             u if u > v else v for u, v in zip(lcs_here[s::q], lcs_up)
@@ -407,18 +403,9 @@ def _duality_tables(q: int, m: int, n: int) -> Iterator[tuple[Qstr, list[int], l
                         ]
                 lcs_new.append(lcs_level)
                 scs_new.append(scs_level)
-            lcs_rows[depth] = lcs_new
-            scs_rows[depth] = scs_new
-        yield tuple(x), lcs_rows[m][n], scs_rows[m][n]
-        # advance the odometer; the rows above the changed digit stay
-        k = m - 1
-        while k >= 0 and x[k] == q - 1:
-            x[k] = 0
-            k -= 1
-        if k < 0:
-            break
-        x[k] += 1
-        depth = k
+            yield from extend(x + (c,), lcs_new, scs_new)
+
+    return extend((), [[0] * q ** j for j in range(n + 1)], [[j] * q ** j for j in range(n + 1)])
 
 
 def parallelogram_range_counterexample(

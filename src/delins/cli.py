@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -28,6 +29,14 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_TIMEOUT = 4
+
+
+def _integer(text: str) -> int:
+    """An optional ASCII '-' then ASCII digits.  Plain int() also takes a
+    '+', underscores, spaces and the digits of other scripts."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"expected a decimal integer, got {text!r}")
+    return int(text)
 
 
 def fraction_decimal(value: Fraction) -> str:
@@ -168,7 +177,7 @@ def _read_parameter_file(path: str, q: int) -> tuple[cdc.Qstr, tuple[cdc.InsertT
         parts = line.split()
         if len(parts) != 3 or parts[0] not in (cdc.LEFT, cdc.RIGHT):
             raise ValueError(f"bad triple line: {line!r} (want 'left|right offset interval')")
-        triples.append(cdc.InsertTriple(parts[0], int(parts[1]), parse_qary(parts[2], q)))
+        triples.append(cdc.InsertTriple(parts[0], _integer(parts[1]), parse_qary(parts[2], q)))
     return z0, tuple(triples)
 
 
@@ -230,48 +239,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="emit code size bound tables")
-    p_bounds.add_argument("--q", type=int, nargs="+", required=True)
-    p_bounds.add_argument("--n", type=int, nargs="+", required=True)
-    p_bounds.add_argument("--s", type=int, nargs="+", required=True)
+    p_bounds.add_argument("--q", type=_integer, nargs="+", required=True)
+    p_bounds.add_argument("--n", type=_integer, nargs="+", required=True)
+    p_bounds.add_argument("--s", type=_integer, nargs="+", required=True)
     p_bounds.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_bounds.add_argument("--output", default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_verify = sub.add_parser("verify", help="run the exhaustive verification sweep")
-    p_verify.add_argument("--q", type=int, default=2)
-    p_verify.add_argument("--max-n", type=int, default=7)
-    p_verify.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_verify.add_argument("--q", type=_integer, default=2)
+    p_verify.add_argument("--max-n", type=_integer, default=7)
+    p_verify.add_argument("--cap", type=_integer, default=DEFAULT_CAP)
     p_verify.set_defaults(func=cmd_verify)
 
     p_graph = sub.add_parser("graph", help="channel graph statistics")
-    p_graph.add_argument("--q", type=int, required=True)
-    p_graph.add_argument("--l", type=int, required=True)
-    p_graph.add_argument("--a", type=int, required=True)
-    p_graph.add_argument("--b", type=int, required=True)
-    p_graph.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_graph.add_argument("--q", type=_integer, required=True)
+    p_graph.add_argument("--l", type=_integer, required=True)
+    p_graph.add_argument("--a", type=_integer, required=True)
+    p_graph.add_argument("--b", type=_integer, required=True)
+    p_graph.add_argument("--cap", type=_integer, default=DEFAULT_CAP)
     p_graph.add_argument("--export", default=None)
     p_graph.set_defaults(func=cmd_graph)
 
     p_search = sub.add_parser("search", help="exact maximum code search")
-    p_search.add_argument("--q", type=int, required=True)
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--s", type=int, required=True)
-    p_search.add_argument("--cap", type=int, default=orc.SEARCH_CAP)
+    p_search.add_argument("--q", type=_integer, required=True)
+    p_search.add_argument("--n", type=_integer, required=True)
+    p_search.add_argument("--s", type=_integer, required=True)
+    p_search.add_argument("--cap", type=_integer, default=orc.SEARCH_CAP)
     p_search.add_argument("--time-limit", type=float, default=None)
     p_search.add_argument("--certificate", default=None)
     p_search.set_defaults(func=cmd_search)
 
     p_codec = sub.add_parser("codec", help="construct/deconstruct edges")
-    p_codec.add_argument("--q", type=int, default=2)
+    p_codec.add_argument("--q", type=_integer, default=2)
     mode = p_codec.add_mutually_exclusive_group(required=True)
     mode.add_argument("--deconstruct", nargs=2, metavar=("X", "Y"))
     mode.add_argument("--construct", metavar="FILE")
     mode.add_argument("--roundtrip", action="store_true")
-    p_codec.add_argument("--l", type=int, default=None)
-    p_codec.add_argument("--a", type=int, default=None)
-    p_codec.add_argument("--b", type=int, default=None)
+    p_codec.add_argument("--l", type=_integer, default=None)
+    p_codec.add_argument("--a", type=_integer, default=None)
+    p_codec.add_argument("--b", type=_integer, default=None)
     p_codec.add_argument("--trace", action="store_true")
-    p_codec.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p_codec.add_argument("--cap", type=_integer, default=DEFAULT_CAP)
     p_codec.set_defaults(func=cmd_codec)
 
     return parser

@@ -10,8 +10,8 @@ bound on the edge count.
 
 The round trip walks the parameters in blocks that share the gap sides, the
 offsets and the interval lengths.  Within a block every starting interval
-shares the same tails, so each tail is built and decoded once, and each edge
-only has its starting interval split off by match.
+shares the same tails, so each tail is built once and decoded as it is
+built, and each edge only has its starting interval split off by match.
 """
 
 from __future__ import annotations
@@ -242,11 +242,14 @@ def roundtrip_counterexample(
     (z0 + rx, z0 + ry).  deconstruct is match followed by undo_steps on the
     rests, so that edge decodes to its own parameter exactly when
     match(z0 + rx, z0 + ry) == (z0, rx, ry) and undo_steps(rx, ry) == keys.
-    The second condition does not depend on z0, so undo_steps runs once per
-    tail, on the block's first z0, while every edge still goes through
-    match.  A tail whose decode fails fails for every z0, and the first z0's
-    row comes first in parameter order, so the first failing edge, and the
-    count, are the ones a per-edge deconstruct would report.
+    The second condition does not depend on z0, so each tail is decoded
+    once, as it is built, and every edge still goes through match.  A
+    refusal of undo_steps fails the tail like a wrong answer; so does
+    delete_step's refusal of rests with equal heads, which match rejects on
+    every edge of that tail anyway.  A tail that fails fails for every z0,
+    and the first z0's row comes first in parameter order, so the first
+    failing edge, and the count, are the ones a per-edge deconstruct would
+    report.
     """
     count = 0
     steps: dict[tuple[str, int, Qstr], tuple[Qstr, Qstr]] = {}  # insert_step memo
@@ -261,21 +264,16 @@ def roundtrip_counterexample(
                     step = steps[key] = insert_step(InsertTriple(*key), q)
                 rx += step[0]
                 ry += step[1]
-            tails.append((keys, rx, ry))
-        decoded = False  # set once the block's first z0 has decoded every tail
+            try:
+                # an InsertTriple compares equal to its plain (side, offset, interval) key
+                decodes = undo_steps(rx, ry, q) == keys
+            except ValueError:  # NotDeconstructableError, or heads that do not differ
+                decodes = False
+            tails.append((rx, ry, decodes))
         for z0 in pools[0]:
-            for keys, rx, ry in tails:
+            for rx, ry, decodes in tails:
                 count += 1
                 x, y = z0 + rx, z0 + ry
-                if match(x, y) != (z0, rx, ry):
+                if match(x, y) != (z0, rx, ry) or not decodes:
                     return count, (x, y)
-                if not decoded:
-                    try:
-                        got = undo_steps(rx, ry, q)
-                    except NotDeconstructableError:
-                        return count, (x, y)
-                    # an InsertTriple compares equal to its plain (side, offset, interval) key
-                    if got != keys:
-                        return count, (x, y)
-            decoded = True
     return count, None

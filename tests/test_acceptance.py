@@ -2,7 +2,8 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 The heavy searches stay within desk scale; the longest item is the exact
-maximum code search at length 8, which dominates the suite's runtime.
+maximum code search at length 8, which dominates the suite's runtime; it
+carries the `slow` marker, so `pytest -m "not slow"` skips it.
 
 Criteria 01, 04 and the duality half of 05 run the claims of `delins verify`
 through the oracle's claim registry (`oracle.run_check`) at larger grids, so
@@ -22,6 +23,8 @@ import io
 import math
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from delins import bounds as bnd
 from delins import channels as ch
@@ -185,6 +188,7 @@ def test_criterion_06_superstring_count_input_independence():
     _report(6, f"superstring count input independence ({checked} strings)")
 
 
+@pytest.mark.slow
 def test_criterion_07_exact_maximum_matches_best_vt():
     results = {}
     for n in range(4, 9):

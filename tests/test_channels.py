@@ -479,6 +479,20 @@ class TestDualitySweep:
         assert brute is not None and brute[0] == 1
         assert got == brute
 
+    @pytest.mark.parametrize("m,n", [(1, 4), (4, 1), (1, 1), (0, 3)])
+    def test_no_length_to_check_below_two(self, monkeypatch, m, n):
+        # the duality is checked at l in [1, min(m, n)), empty here, so even
+        # tables that break it on every pair give no counterexample
+        tables = ch._duality_tables
+
+        def broken(q, m, n):
+            for x, lcs_row, scs_row in tables(q, m, n):
+                yield x, lcs_row, [scs + 3 for scs in scs_row]
+
+        monkeypatch.setattr(ch, "_duality_tables", broken)
+        assert ch.parallelogram_range_counterexample(2, 2, 2) is not None
+        assert ch.parallelogram_range_counterexample(2, m, n) is None
+
     def test_peak_memory_stays_small(self):
         # (m + 1) * 2 * sum(q**j for j <= n) = 15,302 table slots at (3, 6, 6)
         tracemalloc.start()
@@ -499,6 +513,11 @@ class TestChannelEquivalence:
     def test_cap_guard(self):
         with pytest.raises(CapExceededError):
             ch.channel_equivalence_counterexample(2, 14, 1, 1, cap=1 << 10)
+
+    @pytest.mark.parametrize("n,a,b", [(2, 1, 2), (1, 1, 1), (0, 0, 1), (3, 0, 4)])
+    def test_refuses_more_errors_than_symbols(self, n, a, b):
+        with pytest.raises(ValueError, match=rf"^need a \+ b <= n, got {a + b} > {n}$"):
+            ch.channel_equivalence_counterexample(2, n, a, b)
 
     @pytest.mark.parametrize(
         "q,n,a,b,victim",

@@ -455,6 +455,11 @@ class TestCodec:
         assert code == 0
         assert out == "all 16 parameters round-trip\n"
 
+    @pytest.mark.parametrize("given", ["", "--l 6", "--l 6 --a 1", "--a 1 --b 1"])
+    def test_roundtrip_needs_every_graph_parameter(self, capsys, given):
+        code, out, err = run_cli(capsys, "codec", "--roundtrip", *given.split())
+        assert (code, out, err) == (2, "", "usage error: --roundtrip needs --l, --a and --b\n")
+
     def test_roundtrip_decode_failure_exits_one(self, capsys, monkeypatch):
         def refuse(rx, ry, q, on_step=None):
             raise cli.cdc.NotDeconstructableError("forced")
@@ -545,6 +550,70 @@ class TestUnopenablePath:
         )
         assert code == 2
         assert err.startswith("usage error: ") and str(path) in err
+
+
+# A valid command per subcommand and its integer options.  The option under
+# test comes first with the text under test, so were that text taken, the
+# valid value after it would win and the small command would run.
+INTEGER_OPTIONS = {
+    "bounds --q 2 --n 5 --s 1": ("--q", "--n", "--s"),
+    "verify --q 2 --max-n 3": ("--q", "--max-n", "--cap"),
+    "graph --q 2 --l 2 --a 1 --b 0": ("--q", "--l", "--a", "--b", "--cap"),
+    "search --q 2 --n 4 --s 1": ("--q", "--n", "--s", "--cap"),
+    "codec --roundtrip --q 2 --l 6 --a 1 --b 1": ("--q", "--l", "--a", "--b", "--cap"),
+}
+
+
+class TestIntegerText:
+    """Integers are an optional ASCII '-' then ASCII digits; int() alone
+    would also take '+', underscores, spaces and the digits of other
+    scripts."""
+
+    @pytest.mark.parametrize(
+        "command,option",
+        [(command, option) for command, options in INTEGER_OPTIONS.items() for option in options],
+    )
+    @pytest.mark.parametrize(
+        "text", ["\u0662", "\uff12", "1_0", "+1", " 2", "2.0"]
+    )
+    def test_every_integer_option_refuses_other_text(self, capsys, command, option, text):
+        subcommand, *rest = command.split()
+        code, out, err = run_cli(capsys, subcommand, option, text, *rest)
+        assert (code, out) == (2, "")
+        assert f"argument {option}: invalid" in err
+
+    def test_arabic_indic_digits_do_not_run_as_a_graph(self, capsys):
+        code, out, err = run_cli(
+            capsys, "graph", "--q", "\u0662", "--l", "\u0661", "--a", "1", "--b", "0"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --q: invalid" in err
+
+    def test_underscore_and_plus_do_not_run_as_a_graph(self, capsys):
+        code, out, err = run_cli(capsys, "graph", "--q", "2", "--l", "1_0", "--a", "+1", "--b", "0")
+        assert (code, out) == (2, "")
+        assert "argument --l: invalid" in err
+        code, out, err = run_cli(capsys, "graph", "--q", "2", "--l", "10", "--a", "+1", "--b", "0")
+        assert (code, out) == (2, "")
+        assert "argument --a: invalid" in err
+
+    @pytest.mark.parametrize("offset", ["\u0661", "+1", "0_1", "1.0", "\uff11"])
+    def test_parameter_file_offset_refuses_other_text(self, capsys, tmp_path, offset):
+        path = tmp_path / "params.txt"
+        path.write_text(f"z0 00\nleft {offset} 00\n", encoding="utf-8")
+        assert run_cli(capsys, "codec", "--construct", str(path)) == (
+            2, "", f"usage error: expected a decimal integer, got {offset!r}\n"
+        )
+
+    def test_negative_values_reach_the_command(self, capsys, tmp_path):
+        # a '-' is part of the integer text, so the command gives its own message
+        code, out, err = run_cli(capsys, "graph", "--q", "2", "--l", "-1", "--a", "1", "--b", "0")
+        assert (code, out, err) == (2, "", "usage error: graph parameters must be nonnegative\n")
+        path = tmp_path / "params.txt"
+        path.write_text("z0 00\nleft -1 00\n", encoding="utf-8")
+        assert run_cli(capsys, "codec", "--construct", str(path)) == (
+            2, "", "usage error: offset must be in [1, 1], got -1\n"
+        )
 
 
 def readme_commands():

@@ -437,3 +437,11 @@ class TestRoundTripMatchesPerEdgeReference:
         assert got == _per_edge_roundtrip(q, l, a, b)
         assert got[1] is not None and got[1] != bad
         assert cdc.match(*got[1])[1:] == bad_rests
+
+    def test_insert_step_without_a_fresh_head(self, monkeypatch, q, l, a, b):
+        # both sides get the bare interval, so the rests start alike:
+        # delete_step refuses them, and match splits every edge past its z0
+        monkeypatch.setattr(cdc, "insert_step", lambda triple, q: (triple.interval,) * 2)
+        got = cdc.roundtrip_counterexample(q, l, a, b)
+        assert got == _per_edge_roundtrip(q, l, a, b)
+        assert got[0] == 1 or a + b == 0

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import io
+from itertools import combinations, combinations_with_replacement
 from operator import itemgetter
 
 import pytest
@@ -541,4 +542,88 @@ class TestEdgeSandwich:
         assert check.instances == 1
         assert check.counterexample == (
             f"q={q} l=1 a=0 b=0 constructable={edges + 1} edges={edges} upper={edges + 1}"
+        )
+
+
+def _pairwise_isdisjoint(words, s):
+    """The direct pairwise rule: every two s-deletion sets are disjoint."""
+    sets = [ch.deletion_set(w, s) for w in words]
+    return all(a.isdisjoint(b) for a, b in combinations(sets, 2))
+
+
+class TestPairwiseDisjointDeletions:
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_union_rule_is_the_pairwise_rule(self, k, s):
+        # every k-word subset of [2]^5, a word repeated included; no three
+        # words of length 5 correct two deletions, so (3, 2) has no True
+        outcomes = set()
+        for words in combinations_with_replacement(qs.all_strings(2, 5), k):
+            got = orc.pairwise_disjoint_deletions(words, s)
+            assert got == _pairwise_isdisjoint(words, s), words
+            outcomes.add(got)
+        assert outcomes == ({False} if (k, s) == (3, 2) else {True, False})
+
+
+def _unless(real, wrong, value):
+    """real, except that it returns value where wrong(*args) holds."""
+    return lambda *args: value if wrong(*args) else real(*args)
+
+
+class TestClaimCounterexamples:
+    # Each claim, run with one patched bound or skewed duality tables, fails
+    # at the first instance the patch breaks and counts every instance up to
+    # and including it.
+
+    @pytest.mark.parametrize(
+        "key,bound,wrong,value,instances,counterexample",
+        [
+            # n = 1 and 2 run 2 * 3 + 4 * 6 instances; x = 000 meets (1, 1) fifth
+            (
+                "degree_lower_bound", "degree_lower_bound",
+                lambda q, n, r, c, a, b: (n, a, b) == (3, 1, 1), 10 ** 6,
+                35, "q=2 n=3 a=1 b=1 x=000 lower=1000000 actual=4",
+            ),
+            # (n, c) = (2, 2), (3, 2), (3, 3); 010 and 101 alternate over 3
+            (
+                "alternating_bound", "alternating_interval_bound",
+                lambda q, n, c: (n, c) == (3, 3), 1,
+                3, "q=2 n=3 c=3 count=2 bound=1",
+            ),
+            # four eps at n = 1, then 0.1, 0.2, 0.3 at n = 2
+            (
+                "runs_bound", "few_runs_bound",
+                lambda q, n, eps: (n, eps) == (2, 0.3), 0.5,
+                7, "q=2 n=2 eps=0.3 count=2 bound=0.5",
+            ),
+        ],
+    )
+    def test_a_broken_bound_is_the_counterexample(
+        self, monkeypatch, key, bound, wrong, value, instances, counterexample
+    ):
+        monkeypatch.setattr(bnd, bound, _unless(getattr(bnd, bound), wrong, value))
+        check = orc.run_check(key, 2, 5)
+        assert (check.passed, check.instances, check.counterexample) == (
+            False, instances, counterexample
+        )
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_skewed_duality_tables_are_the_parallelogram_counterexample(self, monkeypatch, q):
+        # at m = 3 only, SCS three long on pairs with LCS 2 whose first and
+        # last symbols differ; (m, n) = (2, 2), (2, 3), (2, 4) pass first and
+        # every (m, n) up to (3, 2) checks one length l
+        tables = ch._duality_tables
+
+        def skewed(q, m, n):
+            ys = list(qs.all_strings(q, n))
+            for x, lcs_row, scs_row in tables(q, m, n):
+                yield x, lcs_row, [
+                    scs + 3 if m == 3 and lcs == 2 and x[0] != y[-1] else scs
+                    for y, lcs, scs in zip(ys, lcs_row, scs_row)
+                ]
+
+        monkeypatch.setattr(ch, "_duality_tables", skewed)
+        check = orc.run_check("parallelogram", q, 4)
+        assert (check.passed, check.instances, check.counterexample) == (
+            False, q ** 4 + q ** 5 + q ** 6 + q ** 5, f"q={q} l=1 m=3 n=2 x=001 y=01"
         )
