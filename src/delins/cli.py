@@ -39,6 +39,15 @@ def _integer(text: str) -> int:
     return int(text)
 
 
+def _seconds(text: str) -> float:
+    """An optional ASCII '-', ASCII digits and an optional '.' and digits.
+    Plain float() also takes what int() does, and 'inf', 'nan' and
+    exponents."""
+    if not re.fullmatch(r"-?[0-9]+(\.[0-9]+)?", text):
+        raise ValueError(f"expected a decimal number of seconds, got {text!r}")
+    return float(text)
+
+
 def fraction_decimal(value: Fraction) -> str:
     """Six significant digits, exact rational in, decimal text out."""
     with localcontext() as ctx:
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n", type=_integer, required=True)
     p_search.add_argument("--s", type=_integer, required=True)
     p_search.add_argument("--cap", type=_integer, default=orc.SEARCH_CAP)
-    p_search.add_argument("--time-limit", type=float, default=None)
+    p_search.add_argument("--time-limit", type=_seconds, default=None)
     p_search.add_argument("--certificate", default=None)
     p_search.set_defaults(func=cmd_search)
 

@@ -15,10 +15,15 @@ ceiling and max_n.  `codec --roundtrip` and `graph`
 run the per-instance parts, codec.roundtrip_counterexample and
 edge_sandwich.  The duality claim reads the prefix-shared LCS/SCS tables of
 channels.parallelogram_range_counterexample, and the edge sandwich counts
-edges by orbit with channels.degree_histogram, as `graph` does.  The
+edges by orbit with channels.degree_histogram, as `graph` does.  Two
+claims run on symmetry classes and weight each class by its size: the
+insert/delete inversion on one interval per cyclic shift c -> c + t mod q,
+the degree lower bound on one string per orbit of symmetry_orbits.  Their
+instance counts and first counterexamples are those of a full scan.  The
 acceptance suite also keeps independent second routes to some claims
 (per-input output sets, pairwise LCS, the built channel graph); those are
-not copies.
+not copies.  The tests keep the full scans of the two reduced claims and
+check the shift equivariance of the codec steps on the full grid.
 """
 
 from __future__ import annotations
@@ -416,6 +421,16 @@ def _check_edge_bounds(q: int, limit: int, cap: int) -> tuple[int, str | None]:
 
 
 def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]:
+    """Run the intervals w with w[0] = 0 and count each of them q times.
+
+    The cyclic shift c -> c + t mod q commutes with insert_step and with
+    delete_step, refusals included: offsets are differences mod q and every
+    other step compares symbols or slices.  It maps the suffix pairs onto
+    themselves, keeps non-alternation, and maps the w with w[0] = 0, which
+    come first in numeric order, one to one onto the rest of each length.
+    So every instance passes iff its shift to w[0] = 0 does, and a failure
+    met among those is the first one, at the count, of a full scan.
+    """
     instances = 0
     suffixes: list[Qstr] = [()]
     for length in range(1, min(SUFFIX_LENGTH, limit) + 1):
@@ -427,7 +442,10 @@ def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]
         if (not u and not v) or (u and v and u[0] != v[0])
     ]
     for length in range(2, limit + 1):
+        start = instances
         for w in non_alternating_strings(q, length):
+            if w[0]:
+                break
             for side in (cdc.LEFT, cdc.RIGHT):
                 for offset in range(1, q):
                     triple = cdc.InsertTriple(side, offset, w)
@@ -444,6 +462,7 @@ def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]
                                 f"w={format_qary(w, q)} u={format_qary(u, q)} "
                                 f"v={format_qary(v, q)}"
                             )
+        instances += (q - 1) * (instances - start)
     return instances, None
 
 
@@ -459,20 +478,30 @@ def _check_roundtrip(q: int, limit: int, cap: int) -> tuple[int, str | None]:
 
 
 def _check_degree_lower_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
+    """Run one string per orbit of symmetry_orbits, its smallest, in rank
+    order, and count each string of [q]^n once.
+
+    The run count, the longest alternating interval and the output count
+    are invariant under the orbit group.  Every smaller rank lies in an
+    orbit whose smallest string has already passed, so a failure at rank r
+    and split i is the first one, at the count, of a full scan.
+    """
     limit = min(limit, 8 if q == 2 else 5)
     instances = 0
     for n in range(1, limit + 1):
-        for x in all_strings(q, n):
+        splits = _splits(min(MAX_S, n))
+        for r in sorted(set(symmetry_orbits(q, n))):
+            x = string_of(r, q, n)
             stats = string_stats(x)
-            for a, b in _splits(min(MAX_S, n)):
-                instances += 1
+            for i, (a, b) in enumerate(splits):
                 lower = bnd.degree_lower_bound(q, n, stats.runs, stats.longest_alternating, a, b)
                 actual = len(ch.output_ranks(x, a, b, q))
                 if lower > actual:
-                    return instances, (
+                    return instances + r * len(splits) + i + 1, (
                         f"q={q} n={n} a={a} b={b} x={format_qary(x, q)} "
                         f"lower={lower} actual={actual}"
                     )
+        instances += q ** n * len(splits)
     return instances, None
 
 

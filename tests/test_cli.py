@@ -395,7 +395,7 @@ class TestSearch:
         assert code == 4
         assert "lower bound" in out
 
-    @pytest.mark.parametrize("limit", ["nan", "-1"])
+    @pytest.mark.parametrize("limit", ["-1", "-0.5"])
     def test_time_limit_must_be_nonnegative(self, capsys, limit):
         code, out, err = run_cli(
             capsys, "search", "--q", "2", "--n", "4", "--s", "1", f"--time-limit={limit}"
@@ -403,6 +403,27 @@ class TestSearch:
         assert code == 2
         assert out == ""
         assert err.startswith("usage error: time limit must be a nonnegative number")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\u0661", "\uff12", "1_0", "+1", " 2", "2 ", "inf", "nan", "-inf", "1e3", "1.", ".5", "0x1"],
+    )
+    def test_time_limit_refuses_other_text(self, capsys, text):
+        # the integer rule with an optional '.' and digits; float() alone
+        # takes every one of these but 0x1
+        code, out, err = run_cli(
+            capsys, "search", f"--time-limit={text}", "--q", "2", "--n", "4", "--s", "1"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --time-limit: invalid" in err
+
+    @pytest.mark.parametrize("text", ["0", "30", "2.5", "0.000"])
+    def test_time_limit_takes_ascii_decimals(self, capsys, text):
+        code, out, err = run_cli(
+            capsys, "search", "--q", "2", "--n", "4", "--s", "1", "--time-limit", text
+        )
+        assert (code, err) == (0, "")
+        assert "code_size=4 (maximum" in out
 
 
 class TestCodec:

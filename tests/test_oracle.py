@@ -12,6 +12,11 @@ from delins import codec as cdc
 from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
+from verify_reference import (
+    degree_lower_bound_full_scan,
+    insert_delete_full_scan,
+    shift_equivariance_counterexample,
+)
 
 
 # SHA-256 of the CodeCertificate.write text of the exact search, as the
@@ -627,3 +632,137 @@ class TestClaimCounterexamples:
         assert (check.passed, check.instances, check.counterexample) == (
             False, q ** 4 + q ** 5 + q ** 6 + q ** 5, f"q={q} l=1 m=3 n=2 x=001 y=01"
         )
+
+
+# The instance counts of the inversion and degree lines of `delins verify`
+# at the benchmark's four grids (q, max_n).
+VERIFY_GRID_COUNTS = {
+    (3, 5): (130368, 2169),
+    (4, 4): (541800, 2028),
+    (2, 8): (1976, 3054),
+    (2, 3): (304, 78),
+}
+
+
+def _counting(monkeypatch, module, name):
+    """Rebind module.name to a wrapper that counts its calls."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _refuses_right_steps_of_length_three(real):
+    """delete_step, except that it refuses every RIGHT step of an interval
+    of length 3: a fault the cyclic shift maps onto itself."""
+    def refusing(x, y, q):
+        triple, rest_x, rest_y = real(x, y, q)
+        if triple.side == cdc.RIGHT and len(triple.interval) == 3:
+            raise cdc.NotDeconstructableError("refused")
+        return triple, rest_x, rest_y
+
+    return refusing
+
+
+class TestSymmetryClassClaims:
+    # verify runs the inversion claim on one interval per cyclic-shift class
+    # and the degree lower bound on one string per orbit; the full scans in
+    # verify_reference must give the same (instances, counterexample).
+
+    @pytest.mark.parametrize("q,max_n", list(VERIFY_GRID_COUNTS))
+    def test_reduced_claims_are_the_full_scans_on_the_verify_grids(self, q, max_n):
+        inversion_limit = min(orc.CHECKS["insert_delete"][1], max_n)
+        inversion = orc._check_insert_delete(q, inversion_limit, ch.DEFAULT_CAP)
+        degree = orc._check_degree_lower_bound(q, max_n, ch.DEFAULT_CAP)
+        assert inversion == insert_delete_full_scan(q, inversion_limit)
+        assert degree == degree_lower_bound_full_scan(q, max_n)
+        assert (inversion, degree) == tuple((n, None) for n in VERIFY_GRID_COUNTS[q, max_n])
+
+    @pytest.mark.parametrize("q,limit,instances", [(2, 6, 22572), (3, 3, 97440)])
+    def test_inversion_at_suffix_length_three(self, monkeypatch, q, limit, instances):
+        monkeypatch.setattr(orc, "SUFFIX_LENGTH", 3)
+        got = orc._check_insert_delete(q, limit, ch.DEFAULT_CAP)
+        assert got == insert_delete_full_scan(q, limit) == (instances, None)
+
+    @pytest.mark.parametrize("q,limit", [(2, 5), (3, 4), (4, 3)])
+    def test_a_shift_invariant_refusal_fails_both_routes_alike(self, monkeypatch, q, limit):
+        monkeypatch.setattr(cdc, "delete_step", _refuses_right_steps_of_length_three(cdc.delete_step))
+        got = orc._check_insert_delete(q, limit, ch.DEFAULT_CAP)
+        assert got == insert_delete_full_scan(q, limit)
+        assert got[1] == f"q={q} side=right offset=1 w=000 u= v="
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_a_bound_overshooting_at_one_orbit_fails_both_routes_alike(self, monkeypatch, q):
+        # runs 3 and longest alternating interval 3 at n = 4, the orbit of
+        # 0010, at split (1, 0); a bound sees only these statistics, so the
+        # fault is the same on every string of the orbit
+        wrong = lambda q, n, r, c, a, b: (n, r, c, a, b) == (4, 3, 3, 1, 0)
+        monkeypatch.setattr(
+            bnd, "degree_lower_bound", _unless(bnd.degree_lower_bound, wrong, 10 ** 6)
+        )
+        got = orc._check_degree_lower_bound(q, 4, ch.DEFAULT_CAP)
+        assert got == degree_lower_bound_full_scan(q, 4)
+        assert got[1].startswith(f"q={q} n=4 a=1 b=0 x=0010 lower=1000000 ")
+
+    @pytest.mark.parametrize("q,limit", [(3, 5), (4, 4)])
+    def test_codec_steps_commute_with_every_cyclic_shift(self, q, limit):
+        # the symmetry the reduced inversion claim rests on, on its full grid
+        assert shift_equivariance_counterexample(q, limit) is None
+
+    @pytest.mark.parametrize("q,limit", [(3, 4), (4, 3)])
+    def test_equivariance_refuses_a_fault_off_the_representatives(self, monkeypatch, q, limit):
+        # wrong only where neither head is 0, which no instance with
+        # w[0] = 0 has (w is the head of x or of y), so the reduced claim
+        # passes it: only the equivariance check and the full scan see it
+        real = cdc.delete_step
+
+        def mutant(x, y, q):
+            if x[0] and y[0]:
+                raise cdc.NotDeconstructableError("mutant")
+            return real(x, y, q)
+
+        monkeypatch.setattr(cdc, "delete_step", mutant)
+        assert orc.run_check("insert_delete", q, limit).passed
+        assert insert_delete_full_scan(q, limit)[1] is not None
+        assert shift_equivariance_counterexample(q, limit) is not None
+
+    @pytest.mark.parametrize("q,max_n", [(2, 7), (3, 4), (4, 3)])
+    def test_degree_claim_inputs_are_orbit_invariant(self, q, max_n):
+        for n in range(1, max_n + 1):
+            orbit_of = qs.symmetry_orbits(q, n)
+            splits = orc._splits(min(orc.MAX_S, n))
+
+            def profile(r):
+                x = qs.string_of(r, q, n)
+                counts = [len(ch.output_ranks(x, a, b, q)) for a, b in splits]
+                return qs.string_stats(x), counts
+
+            representative = {r: profile(r) for r in set(orbit_of)}
+            for r, orbit in enumerate(orbit_of):
+                assert profile(r) == representative[orbit], (q, n, r)
+
+    @pytest.mark.parametrize(
+        "q,limit,calls,instances", [(3, 5, 43456, 130368), (4, 4, 135450, 541800)]
+    )
+    def test_inversion_calls_delete_step_once_per_class(
+        self, monkeypatch, q, limit, calls, instances
+    ):
+        # calls == instances / q: one interval in q runs
+        counted = _counting(monkeypatch, cdc, "delete_step")
+        assert orc.run_check("insert_delete", q, limit).instances == instances
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize(
+        "q,max_n,calls", [(3, 5, 249), (4, 4, 105), (2, 8, 897), (2, 3, 33)]
+    )
+    def test_degree_claim_bounds_once_per_orbit_and_split(self, monkeypatch, q, max_n, calls):
+        # e.g. (3, 5): 1, 2, 4, 10 and 25 orbits at n = 1..5, 3 splits at
+        # n = 1 and 6 above, 3 + 41 * 6 = 249 calls for 2,169 instances
+        counted = _counting(monkeypatch, bnd, "degree_lower_bound")
+        orc.run_check("degree_lower_bound", q, max_n)
+        assert len(counted) == calls
