@@ -15,9 +15,10 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-# Not used here: it stays importable as delins.bounds.channel_output_set, the
-# name-bound import that perfbench's tracer test checks is traced.
-from delins.channels import channel_output_set  # noqa: F401
+# channel_output_set is not used here: it stays importable as
+# delins.bounds.channel_output_set, the name-bound import that perfbench's
+# tracer test checks is traced.
+from delins.channels import channel_output_set, check_graph_parameters  # noqa: F401
 from delins.qstrings import StringStats, binomial, check_alphabet, insertion_count
 
 # Tolerance when turning real-valued thresholds into integer cutoffs.
@@ -27,9 +28,7 @@ FLOAT_GUARD = 1e-9
 def edge_count_upper(q: int, l: int, a: int, b: int) -> int:
     """Upper bound on the channel graph edge count: every edge appears in at
     least one (common subsequence, left endpoint, right endpoint) triple."""
-    check_alphabet(q)
-    if l < 0 or a < 0 or b < 0:
-        raise ValueError("parameters must be nonnegative")
+    check_graph_parameters(q, l, a, b)
     return q ** l * insertion_count(q, a, l + a) * insertion_count(q, b, l + b)
 
 

@@ -10,19 +10,19 @@ Output sets come in two forms.  deletion_set, insertion_set and
 channel_output_set build sets of tuples: they are the reference route of
 the tests, and deletion_set re-checks code certificates.  deletion_ranks,
 insertion_ranks and output_ranks enumerate base-q ranks without
-duplicates, and every other caller uses them.  Both rank enumerators walk
-leftmost embeddings: a deleted block never holds the kept symbol after it,
-and an inserted word never holds the symbol of x after it, so each result
-is reached once.  output_ranks hands the rank of each a-deletion result
-straight to the insertion enumerator.  degree_histogram counts the graph's
-degrees as qstrings.orbit_tally of the output count, one output set per
-orbit representative, so only an export builds the graph.
-conflict_masks ORs each group of inputs sharing an output into their
-conflict rows.  The inputs sharing a deletion result z are the insertion
-ball of z, so deletion_groups builds no deletion set.  The s-deletion
-conflict graph, whose rows the exact search reads, and the channel
-equivalence check both use them, so channel equivalence is equality of
-masks.
+duplicates, and every other caller uses them.  The deletion and insertion
+enumerators walk leftmost embeddings, so each result is reached once: a
+deleted block never holds the kept symbol after it, and insertion_ranks
+inserts one symbol per step, at a gap no earlier than the last, never x[h]
+just before x[h].  output_ranks hands the rank of each a-deletion result to
+the insertion enumerator.  degree_histogram counts the graph's degrees as
+qstrings.orbit_tally of the output count, one output set per orbit
+representative, so only an export builds the graph.  conflict_masks ORs
+each group of inputs sharing an output into their conflict rows.  The
+inputs sharing a deletion result z are the insertion ball of z, so
+deletion_groups builds no deletion set.  The s-deletion conflict graph,
+whose rows the exact search reads, and the channel equivalence check both
+use them, so channel equivalence is equality of masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
 duality at every length l from LCS and SCS tables that share the prefixes
 of both strings: each prefix of x keeps one row per table over every prefix
@@ -35,7 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 from typing import IO, Collection, Iterable, Iterator
 
@@ -85,15 +85,6 @@ def insertion_set(x: Qstr, s: int, q: int) -> set[Qstr]:
 
 
 @lru_cache(maxsize=64)
-def _avoiding_words(q: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """For each symbol c, the ranks of every length-k word with no symbol c."""
-    return tuple(
-        tuple(rank_of(w, q) for w in product([d for d in range(q) if d != c], repeat=k))
-        for c in range(q)
-    )
-
-
-@lru_cache(maxsize=64)
 def _weights(q: int, n: int) -> tuple[int, ...]:
     """q ** (n - g) for g = 0 .. n: item g + 1 is the place value of x[g]."""
     return tuple(q ** (n - g) for g in range(n + 1))
@@ -103,13 +94,13 @@ def insertion_ranks(x: Qstr, s: int, q: int) -> list[int]:
     """Base-q ranks of insertion_set(x, s, q), each exactly once, unordered.
 
     A supersequence y of x is fixed by its leftmost embedding of x: the word
-    inserted before x[g] avoids the symbol x[g], and the symbols after the
-    last one of x are free.  A partial output is kept as the rank of
-    p + x[g:], p being what is built so far and g the first gap still open,
-    so passing a gap costs nothing and inserting a word w before x[g] is one
-    multiply-add.  States are grouped by insertions left; those with none
-    left are outputs, the others end in a free tail.  The tuple sets of
-    insertion_set stay the independent reference route.
+    inserted before x[h] avoids x[h], and the symbols after the end of x are
+    free.  So y is built by s single insertions, each of a c != x[h] before
+    x[h] or of any c at the end gap h = len(x), at a gap no earlier than the
+    last: the words at a gap are written left to right, and y is reached
+    once.  A partial output is kept as the rank of p + x[g:], p being what
+    is built so far and g the first open gap, so each insertion is one
+    multiply-add.  insertion_set stays the independent reference route.
     """
     check_alphabet(q)
     if s < 0:
@@ -122,39 +113,21 @@ def _insertion_ranks(rank: int, m: int, s: int, q: int) -> list[int]:
     if s == 0:
         return [rank]
     weight = _weights(q, m)
-    suffix = [rank % w for w in weight]  # suffix[g] is the rank of x[g:]
-    # inserting a word w of length k before x[g] maps the rank r of p + x[g:]
-    # to r * q**k + offset; moves[k] lists (offset, g + 1) gap by gap, with
-    # (q-1)**k words per gap; x[g] is suffix[g] // weight[g + 1]
-    moves: list[list[tuple[int, int]]] = [[]]
-    for k in range(1, s + 1):
-        words = _avoiding_words(q, k)
-        shift = 1 - q ** k
-        moves.append(
-            [
-                (w * weight[g] + suffix[g] * shift, g + 1)
-                for g in range(m)
-                for w in words[suffix[g] // weight[g + 1]]
-            ]
-        )
-    out: list[int] = []
-    # states[left]: (rank of p + x[g:], first open gap g), left insertions to go
-    states: list[list[tuple[int, int]]] = [[] for _ in range(s + 1)]
-    states[s].append((rank, 0))
-    for left in range(s, 0, -1):
-        current = states[left]
-        span = q ** left
-        out += [r * span + t for r, _ in current for t in range(span)]
-        for k in range(1, left + 1):
-            scale = q ** k
-            width = (q - 1) ** k
-            if k == left:
-                out += [r * scale + o for r, g in current for o, _ in moves[k][g * width:]]
-            else:
-                states[left - k] += [
-                    (r * scale + o, h) for r, g in current for o, h in moves[k][g * width:]
-                ]
-    return out
+    # inserting c before x[h] (at the end if h = m) maps the rank r of
+    # p + x[g:], g <= h, to r * q + c * w - rank(x[h:]) * (q - 1), w = q**(m-h);
+    # moves lists (offset, index of the first move at gap h) gap by gap
+    moves = [
+        (c * w - rank % w * (q - 1), h * (q - 1))
+        for h, w in enumerate(weight)
+        for skip in [rank % w // weight[h + 1] if h < m else q]  # x[h]; none at the end
+        for c in range(q)
+        if c != skip
+    ]
+    # states: (rank of p + x[g:], index of the first move at gap g)
+    states = [(rank, 0)]
+    for _ in range(s - 1):
+        states = [(r * q + o, h) for r, g in states for o, h in moves[g:]]
+    return [r * q + o for r, g in states for o, _ in moves[g:]]
 
 
 def deletion_ranks(x: Qstr, a: int, q: int) -> list[int]:
@@ -228,10 +201,7 @@ def output_ranks(x: Qstr, a: int, b: int, q: int) -> set[int]:
     if b == 0:
         return set(results)
     m = len(x) - a
-    out: set[int] = set()
-    for z in results:
-        out.update(_insertion_ranks(z, m, b, q))
-    return out
+    return set().union(*[_insertion_ranks(z, m, b, q) for z in results])
 
 
 def channel_output_set(x: Qstr, a: int, b: int, q: int) -> set[Qstr]:
@@ -246,6 +216,13 @@ def check_channel(n: int, a: int, b: int) -> None:
     """Reject an (a, b) channel that cannot act on inputs of length n."""
     if not 0 <= a <= n or b < 0:
         raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
+
+
+def check_graph_parameters(q: int, l: int, a: int, b: int) -> None:
+    """Reject a channel graph (q, l, a, b) with q < 2 or a negative l, a or b."""
+    check_alphabet(q)
+    if min(l, a, b) < 0:
+        raise ValueError(f"graph parameters must be nonnegative, got l={l}, a={a}, b={b}")
 
 
 def output_count_bound(q: int, n: int, a: int, b: int) -> int:
@@ -319,9 +296,7 @@ class ChannelGraph:
 
 
 def _check_graph_size(q: int, l: int, a: int, b: int, cap: int) -> None:
-    check_alphabet(q)
-    if l < 0 or a < 0 or b < 0:
-        raise ValueError("graph parameters must be nonnegative")
+    check_graph_parameters(q, l, a, b)
     vertices = q ** (l + a) + q ** (l + b)
     if vertices > cap:
         raise CapExceededError("channel graph vertex enumeration", vertices, cap)

@@ -20,7 +20,7 @@ import math
 from itertools import combinations, product
 from typing import Callable, Iterator, NamedTuple
 
-from delins.channels import DEFAULT_CAP
+from delins.channels import DEFAULT_CAP, check_graph_parameters
 from delins.errors import CapExceededError
 from delins.qstrings import (
     Qstr,
@@ -184,9 +184,7 @@ def parameter_count(q: int, l: int, a: int, b: int) -> int:
     string counts per part.  Parts of size 0 or 1 have no non-alternating
     strings, so restricting to parts >= 2 loses nothing.
     """
-    check_alphabet(q)
-    if l < 0 or a < 0 or b < 0:
-        raise ValueError("parameters must be nonnegative")
+    check_graph_parameters(q, l, a, b)
     s = a + b
     interval_total = 0
     for comp in enumerate_compositions(s + 1, l, 2):

@@ -537,7 +537,8 @@ def _check_runs_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
 
 def run_check(key: str, q: int, limit: int, cap: int = DEFAULT_CAP) -> LemmaCheck:
     """Run the registered claim `key` over its instance grid up to length
-    limit, unclamped by the claim's ceiling.
+    limit, unclamped by the claim's ceiling.  The degree lower bound keeps
+    its own limit: it stops at n = 8 for q = 2 and n = 5 above.
 
     A claim that ran no instance has shown nothing, so it does not pass.
     """

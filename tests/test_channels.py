@@ -124,10 +124,11 @@ class TestInsertionRanks:
 
     def test_duplicate_free_and_equal_to_brute_force_supersequences(self):
         # independent route: scan every string of the output length for x as a
-        # subsequence; no code is shared with either insertion enumerator
-        for q, max_n in ((2, 4), (3, 3), (4, 2)):
+        # subsequence; no code is shared with either insertion enumerator.
+        # s = 4 takes a fourth round through the end gap where the scan is cheap
+        for q, max_n, max_s in ((2, 4, 4), (3, 3, 4), (4, 2, 4), (5, 2, 3)):
             for n in range(max_n + 1):
-                for s in range(4):
+                for s in range(max_s + 1):
                     candidates = list(qs.all_strings(q, n + s))
                     for x in qs.all_strings(q, n):
                         ranks = ch.insertion_ranks(x, s, q)

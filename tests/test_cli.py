@@ -629,7 +629,12 @@ class TestIntegerText:
     def test_negative_values_reach_the_command(self, capsys, tmp_path):
         # a '-' is part of the integer text, so the command gives its own message
         code, out, err = run_cli(capsys, "graph", "--q", "2", "--l", "-1", "--a", "1", "--b", "0")
-        assert (code, out, err) == (2, "", "usage error: graph parameters must be nonnegative\n")
+        assert (code, out, err) == (
+            2, "", "usage error: graph parameters must be nonnegative, got l=-1, a=1, b=0\n"
+        )
+        assert run_cli(
+            capsys, "codec", "--roundtrip", "--q", "2", "--l", "-1", "--a", "0", "--b", "0"
+        ) == (2, "", "usage error: graph parameters must be nonnegative, got l=-1, a=0, b=0\n")
         path = tmp_path / "params.txt"
         path.write_text("z0 00\nleft -1 00\n", encoding="utf-8")
         assert run_cli(capsys, "codec", "--construct", str(path)) == (

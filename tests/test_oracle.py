@@ -276,6 +276,39 @@ class TestMaxCodeExact:
             orc.max_code_exact(orc.build_conflict_graph(2, 4, 1), time_limit=time_limit)
 
 
+class TestInsertionOrder:
+    # SHA-256 of `delins graph --q 3 --l 4 --a 1 --b 1 --export`, as test_cli pins it
+    EXPORT_3411_SHA256 = "7bcfdcb2a2a347f3923d0c2e840c4981f20caac058fba957622e50107bfec324"
+
+    def test_callers_do_not_depend_on_emission_order(self, monkeypatch):
+        # insertion_ranks promises each rank once, unordered: with every list
+        # the enumerator returns reversed, the conflict graph, the degree
+        # histogram, an edge-list export and a search certificate stay the same
+        def outputs():
+            graph = orc.build_conflict_graph(2, 9, 2)
+            edges = io.StringIO()
+            ch.build_channel_graph(3, 4, 1, 1).write_edge_list(edges)
+            return (
+                (graph.order, graph.masks, graph.costs),
+                ch.degree_histogram(3, 4, 1, 1),
+                hashlib.sha256(edges.getvalue().encode()).hexdigest(),
+                certificate_sha256(orc.max_code_exact(graph)),
+            )
+
+        forward = outputs()
+        assert forward[2:] == (self.EXPORT_3411_SHA256, CERTIFICATE_SHA256[2, 9, 2])
+        enumerate_ranks = ch._insertion_ranks
+        reversed_calls = []
+
+        def reversed_ranks(*args):
+            reversed_calls.append(args)
+            return enumerate_ranks(*args)[::-1]
+
+        monkeypatch.setattr(ch, "_insertion_ranks", reversed_ranks)
+        assert outputs() == forward
+        assert reversed_calls
+
+
 class TestVtCode:
     def test_residue_zero_length_four(self):
         cert = orc.vt_code(4, 0)
