@@ -21,8 +21,12 @@ representative, so only an export builds the graph.  conflict_masks ORs
 each group of inputs sharing an output into their conflict rows.  The
 inputs sharing a deletion result z are the insertion ball of z, so
 deletion_groups builds no deletion set.  The s-deletion conflict graph,
-whose rows the exact search reads, and the channel equivalence check both
-use them, so channel equivalence is equality of masks.
+whose rows the exact search reads, and the deletion side of the channel
+equivalence check use them.  channel_conflict_masks builds the channel
+side with no output set: a level walk of single-position deletions, whose
+rows start as the identity and take a steps down, b up, b down and a up,
+one whole-slice OR per position and symbol.  Channel equivalence is
+equality of masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
 duality at every length l from LCS and SCS tables that share the prefixes
 of both strings: each prefix of x keeps one row per table over every prefix
@@ -36,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import add
+from operator import add, or_
 from typing import IO, Collection, Iterable, Iterator
 
 from delins.errors import CapExceededError
@@ -149,9 +153,7 @@ def deletion_ranks(x: Qstr, a: int, q: int) -> list[int]:
     n = len(x)
     if not 0 <= a <= n:
         raise ValueError(f"cannot delete {a} symbols from a string of length {n}")
-    rank = 0
-    for c in x:
-        rank = rank * q + c
+    rank = rank_of(x, q)
     if a == 0:
         return [rank]
     weight = _weights(q, n)
@@ -422,15 +424,71 @@ def parallelogram_range_counterexample(
     return None
 
 
+def _removal_blocks(q: int, length: int, i: int) -> list[tuple[slice, slice]]:
+    """Aligned slices (short, long) that pair each z in [q]^length, by rank,
+    with the x in [q]^(length+1) such that x without position i is z: one
+    pair per inserted symbol c, z = h + t and x = h + c + t.  With
+    w = q**(length-i) ranks per tail t, the blocks of one head h are
+    contiguous and are used when w >= q**i; otherwise the q**i heads of one
+    tail form a stride-w slice of z and a stride-(q*w) slice of x."""
+    w = q ** (length - i)
+    if w >= q ** i:
+        return [
+            (slice(h * w, h * w + w), slice((h * q + c) * w, (h * q + c + 1) * w))
+            for h in range(q ** i)
+            for c in range(q)
+        ]
+    return [(slice(t, None, w), slice(c * w + t, None, q * w)) for t in range(w) for c in range(q)]
+
+
+def channel_conflict_masks(q: int, n: int, a: int, b: int) -> list[int]:
+    """Conflict rows of [q]^n under the (a, b)-channel: bit y of row x is
+    set iff x != y and the two output sets meet.
+
+    The conflict relation of out = I^b D^a is out^-1 out = I^a D^b I^b D^a,
+    D and I the single deletion and insertion.  Rows start as the identity,
+    row r = 1 << r at length n, and take a steps down, b up, b down, then
+    a up, each between lengths L + 1 and L along the maps "x without
+    position i" for every i.  Down, each shorter string ORs the rows of its
+    1-insertions; up, each longer string ORs the rows of its 1-deletions.
+    OR is idempotent, so positions giving the same string need no dedup.
+    Each (position, symbol) is one whole-slice OR of _removal_blocks.
+    """
+    masks = [1 << r for r in range(q ** n)]
+    length = n
+    for up in [False] * a + [True] * b + [False] * b + [True] * a:
+        short = length if up else length - 1
+        length = short + 1 if up else short
+        new = [0] * q ** length
+        for i in range(short + 1):
+            for z, x in _removal_blocks(q, short, i):
+                if up:
+                    new[x] = list(map(or_, new[x], masks[z]))
+                else:
+                    new[z] = list(map(or_, new[z], masks[x]))
+        masks = new
+    for r in range(len(masks)):
+        masks[r] &= ~(1 << r)
+    return masks
+
+
 def channel_equivalence_counterexample(
     q: int, n: int, a: int, b: int, cap: int = DEFAULT_CAP
 ) -> tuple[Qstr, Qstr] | None:
     """Search [q]^n for a pair where the s-deletion conflict relation and the
     (a, b)-channel conflict relation disagree, s = a + b.
 
-    Both relations are built by conflict_masks, the channel side from the
-    inputs holding each output rank, so they agree iff the masks are equal.
-    Returns the first violating pair in all_strings order, or None.
+    The deletion side is conflict_masks over deletion_groups, the channel
+    side the level walk of channel_conflict_masks: two mechanisms, insertion
+    balls against position removal.  The walk is exact because the channel
+    is out = I^b D^a, so its conflict relation is I^a D^b I^b D^a, and OR
+    is idempotent.  The relations agree iff the masks are equal.  Returns
+    the first violating pair in all_strings order, or None.
+
+    The work cap is q**n inputs times the output and deletion-result bounds
+    of one, and at least the q**(2n) bits of the length-n rows.  It is the
+    refusal rule, not the walk's cost: the acceptance grid's skip set and
+    verify's instance counts are pinned to the instances it refuses.
     """
     check_alphabet(q)
     check_channel(n, a, b)
@@ -440,13 +498,8 @@ def channel_equivalence_counterexample(
     work = max(q ** n * (output_count_bound(q, n, a, b) + binomial(n, s)), q ** (2 * n))
     if work > cap:
         raise CapExceededError("channel equivalence enumeration", work, cap)
-    size = q ** n
-    deletion_masks = conflict_masks(size, deletion_groups(q, n, s))
-    holders: list[list[int]] = [[] for _ in range(q ** (n - a + b))]
-    for rank, x in enumerate(all_strings(q, n)):
-        for y in output_ranks(x, a, b, q):
-            holders[y].append(rank)
-    channel_masks = conflict_masks(size, holders)
+    deletion_masks = conflict_masks(q ** n, deletion_groups(q, n, s))
+    channel_masks = channel_conflict_masks(q, n, a, b)
     for i, (mine, theirs) in enumerate(zip(deletion_masks, channel_masks)):
         later = (mine ^ theirs) >> (i + 1)
         if later:

@@ -1,6 +1,6 @@
 import io
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import product
 
 import pytest
@@ -12,6 +12,7 @@ from delins import qstrings as qs
 from delins.errors import CapExceededError
 
 from lcs_reference import is_subsequence, lcs_at_least, lcs_length, scs_length
+from verify_reference import channel_masks_by_outputs
 
 
 def qary_pair(q: int, max_len: int = 7):
@@ -162,6 +163,7 @@ class TestInsertionRanks:
                             for y in got:
                                 holders[y].append(i)
                         assert ch.conflict_masks(len(strings), holders) == expected, (q, n, a)
+                        assert ch.channel_conflict_masks(q, n, a, s - a) == expected, (q, n, a)
 
     def test_output_ranks_match_channel_output_set_up_to_four_deletions(self):
         for q, max_n in ((2, 7), (3, 5), (4, 4)):
@@ -194,16 +196,25 @@ class TestInsertionRanks:
 
     def test_output_ranks_rank_no_result_at_b0(self, monkeypatch):
         # the a-deletion results come out as ranks: no insertion enumerator
-        # and no rank_of per result
+        # and no rank_of per result, only the one rank of x
         cases = [((0, 1, 1, 0, 2, 2, 1), a, 0) for a in range(8)] + [((0, 0, 1, 0), 2, 0)]
         expected = [ch.output_ranks(x, a, b, 3) for x, a, b in cases]
+        ranked = []
 
-        def refuse(name):
-            return lambda *args: pytest.fail(f"{name} called")
+        def counted(real):
+            return lambda x, q: ranked.append(x) or real(x, q)
 
-        for module, name in ((ch, "insertion_ranks"), (ch, "rank_of"), (qs, "rank_of")):
-            monkeypatch.setattr(module, name, refuse(name))
-        assert [ch.output_ranks(x, a, b, 3) for x, a, b in cases] == expected
+        for module in (ch, qs):
+            monkeypatch.setattr(module, "rank_of", counted(module.rank_of))
+
+        def refuse(*args):
+            pytest.fail("insertion_ranks called")
+
+        monkeypatch.setattr(ch, "insertion_ranks", refuse)
+        for (x, a, b), want in zip(cases, expected):
+            ranked.clear()
+            assert ch.output_ranks(x, a, b, 3) == want
+            assert len(ranked) <= 1, (x, a, ranked)
 
 
 class TestDeletionRanks:
@@ -520,53 +531,150 @@ class TestChannelEquivalence:
         with pytest.raises(ValueError, match=rf"^need a \+ b <= n, got {a + b} > {n}$"):
             ch.channel_equivalence_counterexample(2, n, a, b)
 
-    @pytest.mark.parametrize(
+    def test_walk_is_the_output_route(self):
+        # criterion 05's grid up to n = 5, and the two instances of the
+        # benchmark's verify workload
+        grid = [
+            (q, n, a, s - a)
+            for q in (2, 3)
+            for n in range(1, 6)
+            for s in range(n + 1)
+            for a in range(s + 1)
+        ]
+        for q, n, a, b in grid + [(2, 9, 0, 3), (3, 5, 0, 4)]:
+            want = channel_masks_by_outputs(q, n, a, b)
+            assert ch.channel_conflict_masks(q, n, a, b) == want, (q, n, a, b)
+            assert ch.channel_equivalence_counterexample(q, n, a, b) is None
+
+    FAULT_ROWS = pytest.mark.parametrize(
         "q,n,a,b,victim",
         [(2, 5, 0, 2, "00101"), (3, 3, 1, 0, "002"), (2, 4, 2, 0, "0010"), (3, 4, 0, 2, "0012")],
     )
-    def test_first_disagreement_matches_brute_force(self, monkeypatch, capsys, q, n, a, b, victim):
-        victim = qs.parse_qary(victim, q)
-        real = ch.output_ranks
 
-        def dropped(x, a_, b_, q_):
-            out = real(x, a_, b_, q_)
-            if tuple(x) == victim and (a_, b_) == (a, b):
-                out.discard(max(out))
-            return out
+    @staticmethod
+    def _fault_in_instance(monkeypatch, instance, name, faulted):
+        """Rebind channels.<name> to faulted(real, *args) while
+        channel_equivalence_counterexample runs on this (q, n, a, b)."""
+        real, real_check = getattr(ch, name), ch.channel_equivalence_counterexample
 
-        monkeypatch.setattr(ch, "output_ranks", dropped)
-        strings = list(qs.all_strings(q, n))
-        dels = [ch.deletion_set(x, a + b) for x in strings]
-        outs = [dropped(x, a, b, q) for x in strings]
-        brute = next(
+        def check(q, n, a, b, *rest):
+            if (q, n, a, b) != instance:
+                return real_check(q, n, a, b, *rest)
+            monkeypatch.setattr(ch, name, lambda *args: faulted(real, *args))
+            try:
+                return real_check(q, n, a, b, *rest)
+            finally:
+                monkeypatch.setattr(ch, name, real)
+
+        monkeypatch.setattr(ch, "channel_equivalence_counterexample", check)
+
+    @staticmethod
+    def _first_disagreement(strings, dels, channel_rows):
+        """The first pair whose deletion sets meet while their channel rows do
+        not, or the other way round; channel_rows[i] is the set of inputs in
+        conflict with strings[i] (itself included)."""
+        return next(
             (
                 (strings[i], strings[j])
                 for i in range(len(strings))
                 for j in range(i + 1, len(strings))
-                if dels[i].isdisjoint(dels[j]) != outs[i].isdisjoint(outs[j])
+                if dels[i].isdisjoint(dels[j]) == (strings[j] in channel_rows[i])
             ),
             None,
         )
-        assert brute is not None
-        assert ch.channel_equivalence_counterexample(q, n, a, b) == brute
 
+    @staticmethod
+    def _assert_verify_reports(capsys, q, n, a, b, pair):
         assert cli.main(["verify", "--q", str(q), "--max-n", str(n)]) == 1
         lines = capsys.readouterr().out.splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("channel conflict equivalence"))
         assert "FAIL" in lines[at]
-        x, y = (qs.format_qary(w, q) for w in brute)
+        x, y = (qs.format_qary(w, q) for w in pair)
         assert lines[at + 1] == f"  counterexample: q={q} n={n} a={a} b={b} x={x} y={y}"
 
+    @FAULT_ROWS
+    def test_first_disagreement_matches_brute_force(self, monkeypatch, capsys, q, n, a, b, victim):
+        # deletion side: the victim drops out of the group of its first
+        # deletion result, as if that result were not in its deletion set
+        victim = qs.parse_qary(victim, q)
+        s = a + b
+        lost = min(ch.deletion_set(victim, s))
+        victim_rank, lost_rank = qs.rank_of(victim, q), qs.rank_of(lost, q)
+
+        def dropped(real, q_, n_, s_):
+            for index, group in enumerate(real(q_, n_, s_)):
+                yield [r for r in group if index != lost_rank or r != victim_rank]
+
+        strings = list(qs.all_strings(q, n))
+        dels = [ch.deletion_set(x, s) - ({lost} if x == victim else set()) for x in strings]
+        outs = [ch.channel_output_set(x, a, b, q) for x in strings]
+        rows = [
+            {y for y, other in zip(strings, outs) if not mine.isdisjoint(other)} for mine in outs
+        ]
+        brute = self._first_disagreement(strings, dels, rows)
+        assert brute is not None
+
+        self._fault_in_instance(monkeypatch, (q, n, a, b), "deletion_groups", dropped)
+        assert ch.channel_equivalence_counterexample(q, n, a, b) == brute
+        self._assert_verify_reports(capsys, q, n, a, b, brute)
+
+    @FAULT_ROWS
+    def test_walk_fault_matches_brute_force(self, monkeypatch, capsys, q, n, a, b, victim):
+        # channel side: position 0 goes missing in one walk step, the first
+        # one but at (2, 4, 2, 0), where the other positions of the first
+        # step cover it; the brute force walks the same steps on tuples,
+        # positions in order, one _removal_blocks call per position
+        steps = [False] * a + [True] * b + [False] * b + [True] * a
+        lengths = [n]
+        for up in steps:
+            lengths.append(lengths[-1] + (1 if up else -1))
+        longer = [max(lengths[t], lengths[t + 1]) for t in range(len(steps))]
+        step = 1 if (q, n, a, b) == (2, 4, 2, 0) else 0
+        dropped_call = sum(longer[:step]) + 1
+        calls = []
+
+        def faulted(real, q_, length, i):
+            calls.append(i)
+            return [] if len(calls) == dropped_call else real(q_, length, i)
+
+        rows = {x: {x} for x in qs.all_strings(q, n)}
+        call = 0
+        for up, length in zip(steps, longer):
+            moved = defaultdict(set)
+            for i in range(length):
+                call += 1
+                if call == dropped_call:
+                    continue
+                for x in qs.all_strings(q, length):
+                    z = x[:i] + x[i + 1:]
+                    if up:
+                        moved[x] |= rows[z]
+                    else:
+                        moved[z] |= rows[x]
+            rows = moved
+        strings = list(qs.all_strings(q, n))
+        dels = [ch.deletion_set(x, a + b) for x in strings]
+        brute = self._first_disagreement(strings, dels, [rows[x] for x in strings])
+        assert brute is not None
+
+        self._fault_in_instance(monkeypatch, (q, n, a, b), "_removal_blocks", faulted)
+        assert ch.channel_equivalence_counterexample(q, n, a, b) == brute
+        assert len(calls) == sum(longer)
+        calls.clear()
+        self._assert_verify_reports(capsys, q, n, a, b, brute)
+
     def test_memory_peak_stays_small(self):
-        # each input's output set is dropped once it has been grouped
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            assert ch.check_channel_equivalence(3, 4, 0, 3)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 << 20, peak
+        # no output set is built: the walk keeps two levels of rows, at most
+        # q**(n-a+b) rows of q**n bits each, beside the deletion side's rows
+        for instance, limit in (((3, 4, 0, 3), 2 << 20), ((3, 5, 0, 4), 4 << 20)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert ch.check_channel_equivalence(*instance)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, (instance, peak)
 
 
 class TestConflictMasks:

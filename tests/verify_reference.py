@@ -1,5 +1,4 @@
-"""Full-scan routes to the two claims that `delins verify` runs on symmetry
-classes, for tests.
+"""Second routes to three claims of `delins verify`, for tests.
 
 oracle._check_insert_delete runs one interval per cyclic-shift class and
 oracle._check_degree_lower_bound one string per orbit.  The scans here run
@@ -9,6 +8,10 @@ shift_equivariance_counterexample checks the symmetry that the inversion
 reduction rests on.  Like the claims, these read SUFFIX_LENGTH, MAX_S and
 the codec and bound functions from their modules when they run, so a test
 that rebinds one changes both routes.
+
+channels.channel_conflict_masks builds the channel side of the equivalence
+claim by a level walk of single-position deletions;
+channel_masks_by_outputs builds it from each input's output set instead.
 """
 
 from __future__ import annotations
@@ -84,6 +87,17 @@ def degree_lower_bound_full_scan(q: int, limit: int) -> tuple[int, str | None]:
                         f"lower={lower} actual={actual}"
                     )
     return instances, None
+
+
+def channel_masks_by_outputs(q: int, n: int, a: int, b: int) -> list[int]:
+    """The (a, b)-channel conflict rows of [q]^n from the output sets: each
+    input joins the holders of every rank of output_ranks, and
+    conflict_masks ORs each output's holders into their rows."""
+    holders: list[list[int]] = [[] for _ in range(q ** (n - a + b))]
+    for rank, x in enumerate(all_strings(q, n)):
+        for y in ch.output_ranks(x, a, b, q):
+            holders[y].append(rank)
+    return ch.conflict_masks(q ** n, holders)
 
 
 def shift(x: Qstr, t: int, q: int) -> Qstr:
