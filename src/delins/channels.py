@@ -30,7 +30,10 @@ equality of masks.
 parallelogram_range_counterexample checks the subsequence/supersequence
 duality at every length l from LCS and SCS tables that share the prefixes
 of both strings: each prefix of x keeps one row per table over every prefix
-of y, and one symbol more of x updates both rows.
+of y, and one symbol more of x updates both rows.  The tables walk one x
+per class under symbol permutations, the one whose symbols first appear in
+the order 0, 1, 2, ..., because a common relabelling of both strings keeps
+their LCS and SCS.
 """
 
 from __future__ import annotations
@@ -336,12 +339,17 @@ def build_channel_graph(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) 
 
 
 def _duality_tables(q: int, m: int, n: int) -> Iterator[tuple[Qstr, list[int], list[int]]]:
-    """Yield (x, lcs, scs) for every x in [q]^m in all_strings order, where
-    lcs[r] and scs[r] are the LCS and SCS lengths of x and the string of
-    rank r in [q]^n.
+    """Yield (x, lcs, scs) for every restricted-growth x in [q]^m, in
+    all_strings order, where lcs[r] and scs[r] are the LCS and SCS lengths
+    of x and the string of rank r in [q]^n.
 
-    Both strings share their prefixes.  [q]^m is walked depth first by
-    recursion over the prefixes of x, and each prefix keeps one LCS row and
+    x is restricted growth when its symbols first appear in the order 0, 1,
+    2, ...: a prefix is extended only by the symbols it holds and the next
+    unused one.  Such an x is the smallest string of its class under symbol
+    permutations, and every class has exactly one.
+
+    Both strings share their prefixes.  The x are walked depth first by
+    recursion over their prefixes, and each prefix keeps one LCS row and
     one SCS row over every prefix of y, stored level by level: level j lists
     the q**j prefixes of length j in rank order, so the prefix of rank r
     extends that of rank r // q at level j - 1 by the symbol r % q.  A symbol
@@ -359,7 +367,8 @@ def _duality_tables(q: int, m: int, n: int) -> Iterator[tuple[Qstr, list[int], l
         if len(x) == m:
             yield x, lcs_rows[n], scs_rows[n]
             return
-        for c in range(q):
+        # a symbol new to x is the next unused one
+        for c in range(min(q, len(set(x)) + 1)):
             lcs_new = [[0]]
             scs_new = [[len(x) + 1]]
             for j in range(1, n + 1):
@@ -392,6 +401,13 @@ def parallelogram_range_counterexample(
     duality at some length l in [1, min(m, n)): a common subsequence of length
     l exists iff a common supersequence of length m + n - l exists.  One walk
     of the prefix-shared tables gives both table values of each pair once.
+
+    The walk reads only the restricted-growth x, the smallest of each class
+    under symbol permutations.  LCS and SCS lengths do not change when both
+    strings get the same relabelling, so a pair (x, y) fails at l iff its
+    relabelling with x restricted growth does, and that pair comes no later
+    in all_strings order.  So the first violation of the walk is that of a
+    scan of every pair.
 
     Every (pair, l) instance is decided in closed form.  With t = m + n - scs
     and L = min(m, n) - 1, the l in [1, L] with lcs >= l are those up to lcs

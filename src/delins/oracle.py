@@ -15,15 +15,16 @@ ceiling and max_n.  `codec --roundtrip` and `graph`
 run the per-instance parts, codec.roundtrip_counterexample and
 edge_sandwich.  The duality claim reads the prefix-shared LCS/SCS tables of
 channels.parallelogram_range_counterexample, and the edge sandwich counts
-edges by orbit with channels.degree_histogram, as `graph` does.  Two
-claims run on symmetry classes and weight each class by its size: the
-insert/delete inversion on one interval per cyclic shift c -> c + t mod q,
-the degree lower bound on one string per orbit of symmetry_orbits.  Their
-instance counts and first counterexamples are those of a full scan.  The
-acceptance suite also keeps independent second routes to some claims
-(per-input output sets, pairwise LCS, the built channel graph); those are
-not copies.  The tests keep the full scans of the two reduced claims and
-check the shift equivariance of the codec steps on the full grid.
+edges by orbit with channels.degree_histogram, as `graph` does.  Three
+claims run on symmetry classes and count each class at its size: the
+duality on one x per symbol relabelling, the insert/delete inversion on
+one interval per class of the maps c -> +-c + t mod q, the degree lower
+bound on one string per orbit of symmetry_orbits.  Their instance counts
+and first counterexamples are those of a full scan.  The acceptance suite
+also keeps independent second routes to some claims (per-input output
+sets, pairwise LCS, the built channel graph); those are not copies.  The
+tests keep the full scans of the three reduced claims and check that the
+codec steps commute with every c -> +-c + t mod q on the full grid.
 """
 
 from __future__ import annotations
@@ -421,15 +422,21 @@ def _check_edge_bounds(q: int, limit: int, cap: int) -> tuple[int, str | None]:
 
 
 def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]:
-    """Run the intervals w with w[0] = 0 and count each of them q times.
+    """Run the intervals w with w[0] = 0 that are not larger than their
+    negation -w mod q, and count every w with w[0] = 0 q times.
 
-    The cyclic shift c -> c + t mod q commutes with insert_step and with
-    delete_step, refusals included: offsets are differences mod q and every
-    other step compares symbols or slices.  It maps the suffix pairs onto
-    themselves, keeps non-alternation, and maps the w with w[0] = 0, which
-    come first in numeric order, one to one onto the rest of each length.
-    So every instance passes iff its shift to w[0] = 0 does, and a failure
-    met among those is the first one, at the count, of a full scan.
+    The cyclic shift c -> c + t mod q and the negation c -> -c mod q commute
+    with insert_step and with delete_step, refusals included: offsets are
+    differences mod q, so the negation maps offset k to q - k, and every
+    other step compares symbols or slices.  Both map the suffix pairs onto
+    themselves and keep non-alternation.  The shifts map the w with
+    w[0] = 0, which come first in numeric order, one to one onto the rest
+    of each length; the negation keeps w[0] = 0.  So every instance passes
+    iff its shift to w[0] = 0 does, an interval passes iff its negation
+    does, and a skipped interval's negation ran before it.  A skipped
+    interval adds its instances to the count, so a failure met is the
+    first one, at the count, of a full scan.  At q = 2 the negation is the
+    identity and skips nothing.
     """
     instances = 0
     suffixes: list[Qstr] = [()]
@@ -446,6 +453,9 @@ def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]
         for w in non_alternating_strings(q, length):
             if w[0]:
                 break
+            if tuple([-c % q for c in w]) < w:
+                instances += 2 * (q - 1) * len(pairs)
+                continue
             for side in (cdc.LEFT, cdc.RIGHT):
                 for offset in range(1, q):
                     triple = cdc.InsertTriple(side, offset, w)

@@ -1,16 +1,18 @@
 import io
 import tracemalloc
 from collections import Counter, defaultdict
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from delins import channels as ch
 from delins import cli
+from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
 
+import verify_reference
 from lcs_reference import is_subsequence, lcs_at_least, lcs_length, scs_length
 from verify_reference import channel_masks_by_outputs
 
@@ -445,10 +447,14 @@ def _long_scs(x, y, lcs, scs):
     return scs + 3 if lcs == 2 and x[0] != y[-1] else scs
 
 
-def _first_violations(monkeypatch, q, m, n, skew):
-    """The first (l, x, y) by a brute-force loop over the skewed tables, and
-    the one parallelogram_range_counterexample finds with skew applied to
-    the rows of its tables."""
+def _off_representatives(x, y, lcs, scs):
+    """Three long wherever x[0] != 0, which no restricted-growth x has; every
+    such pair with LCS in [1, 3] breaks the duality at l = 1."""
+    return scs + 3 if x[0] else scs
+
+
+def _skew_tables(monkeypatch, skew):
+    """Apply skew to the SCS rows of channels._duality_tables."""
     tables = ch._duality_tables
 
     def skewed(q, m, n):
@@ -457,6 +463,28 @@ def _first_violations(monkeypatch, q, m, n, skew):
             yield x, lcs_row, [skew(x, y, *v) for y, v in zip(ys, zip(lcs_row, scs_row))]
 
     monkeypatch.setattr(ch, "_duality_tables", skewed)
+
+
+def _skew_both_routes(monkeypatch, skew):
+    """Apply skew to the duality tables and to the SCS of the full scan."""
+    _skew_tables(monkeypatch, skew)
+    monkeypatch.setattr(
+        verify_reference,
+        "scs_length",
+        lambda x, y: skew(x, y, lcs_length(x, y), scs_length(x, y)),
+    )
+
+
+def _restricted_growth(x):
+    """True iff the symbols of x first appear in the order 0, 1, 2, ..."""
+    return all(c <= max(x[:i], default=-1) + 1 for i, c in enumerate(x))
+
+
+def _first_violations(monkeypatch, q, m, n, skew):
+    """The first (l, x, y) by a brute-force loop over the skewed tables, and
+    the one parallelogram_range_counterexample finds with skew applied to
+    the rows of its tables."""
+    _skew_tables(monkeypatch, skew)
     for x in qs.all_strings(q, m):
         for y in qs.all_strings(q, n):
             lcs = lcs_length(x, y)
@@ -470,14 +498,47 @@ def _first_violations(monkeypatch, q, m, n, skew):
 class TestDualitySweep:
     @pytest.mark.parametrize("q,max_len", [(2, 5), (3, 4)])
     def test_values_equal_the_tables(self, q, max_len):
+        # the tables yield exactly the restricted-growth x, in order
         for m in range(max_len + 1):
             for n in range(max_len + 1):
                 ys = list(qs.all_strings(q, n))
                 want = [
                     (x, [lcs_length(x, y) for y in ys], [scs_length(x, y) for y in ys])
                     for x in qs.all_strings(q, m)
+                    if _restricted_growth(x)
                 ]
                 assert list(ch._duality_tables(q, m, n)) == want, (m, n)
+
+    @pytest.mark.parametrize("q,m", [(2, 5), (3, 4), (4, 4)])
+    def test_restricted_growth_strings_are_the_class_minima(self, q, m):
+        # each class under symbol permutations has one restricted-growth
+        # string, and it is the smallest of the class
+        minima = {
+            min(tuple(p[c] for c in x) for p in permutations(range(q)))
+            for x in qs.all_strings(q, m)
+        }
+        assert minima == {x for x in qs.all_strings(q, m) if _restricted_growth(x)}
+
+    @pytest.mark.parametrize("skew", [None, _skewed_scs, _long_scs])
+    @pytest.mark.parametrize("q,limit", [(2, 5), (3, 4), (4, 3)])
+    def test_claim_is_the_full_scan(self, monkeypatch, q, limit, skew):
+        # the claim on one x per relabelling class reports the instances
+        # and the first counterexample of a scan of every pair
+        if skew is not None:
+            _skew_both_routes(monkeypatch, skew)
+        got = orc._check_parallelogram(q, limit, ch.DEFAULT_CAP)
+        assert got == verify_reference.parallelogram_full_scan(q, limit)
+        assert (got[1] is None) == (skew is None)
+
+    @pytest.mark.parametrize("q,limit", [(2, 5), (3, 4), (4, 3)])
+    def test_a_fault_off_the_representatives_passes_the_claim(self, monkeypatch, q, limit):
+        # where the reduction stops: tables wrong only where x[0] != 0 are
+        # never read, so only the full scan sees the fault
+        _skew_both_routes(monkeypatch, _off_representatives)
+        assert orc.run_check("parallelogram", q, limit).passed
+        assert verify_reference.parallelogram_full_scan(q, limit) == (
+            q ** 4, f"q={q} l=1 m=2 n=2 x=10 y=00"
+        )
 
     @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 4, 6), (3, 4, 4)])
     def test_first_violation_matches_brute_force(self, monkeypatch, q, m, n):

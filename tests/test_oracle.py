@@ -14,8 +14,8 @@ from delins import qstrings as qs
 from delins.errors import CapExceededError
 from verify_reference import (
     degree_lower_bound_full_scan,
+    equivariance_counterexample,
     insert_delete_full_scan,
-    shift_equivariance_counterexample,
 )
 
 
@@ -692,7 +692,7 @@ def _counting(monkeypatch, module, name):
 
 def _refuses_right_steps_of_length_three(real):
     """delete_step, except that it refuses every RIGHT step of an interval
-    of length 3: a fault the cyclic shift maps onto itself."""
+    of length 3: a fault every map c -> +-c + t mod q maps onto itself."""
     def refusing(x, y, q):
         triple, rest_x, rest_y = real(x, y, q)
         if triple.side == cdc.RIGHT and len(triple.interval) == 3:
@@ -703,9 +703,10 @@ def _refuses_right_steps_of_length_three(real):
 
 
 class TestSymmetryClassClaims:
-    # verify runs the inversion claim on one interval per cyclic-shift class
-    # and the degree lower bound on one string per orbit; the full scans in
-    # verify_reference must give the same (instances, counterexample).
+    # verify runs the inversion claim on one interval per class of the maps
+    # c -> +-c + t mod q and the degree lower bound on one string per orbit;
+    # the full scans in verify_reference must give the same (instances,
+    # counterexample).
 
     @pytest.mark.parametrize("q,max_n", list(VERIFY_GRID_COUNTS))
     def test_reduced_claims_are_the_full_scans_on_the_verify_grids(self, q, max_n):
@@ -743,26 +744,39 @@ class TestSymmetryClassClaims:
         assert got[1].startswith(f"q={q} n=4 a=1 b=0 x=0010 lower=1000000 ")
 
     @pytest.mark.parametrize("q,limit", [(3, 5), (4, 4)])
-    def test_codec_steps_commute_with_every_cyclic_shift(self, q, limit):
+    def test_codec_steps_commute_with_every_shift_and_negation(self, q, limit):
         # the symmetry the reduced inversion claim rests on, on its full grid
-        assert shift_equivariance_counterexample(q, limit) is None
+        assert equivariance_counterexample(q, limit) is None
 
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            # neither head is 0, which no instance with w[0] = 0 has (w is
+            # the head of x or of y)
+            lambda x, y, w, q: x[0] and y[0],
+            # the negation of the interval is smaller, which the claim skips
+            lambda x, y, w, q: tuple([-c % q for c in w]) < w,
+        ],
+        ids=["shift", "negation"],
+    )
     @pytest.mark.parametrize("q,limit", [(3, 4), (4, 3)])
-    def test_equivariance_refuses_a_fault_off_the_representatives(self, monkeypatch, q, limit):
-        # wrong only where neither head is 0, which no instance with
-        # w[0] = 0 has (w is the head of x or of y), so the reduced claim
-        # passes it: only the equivariance check and the full scan see it
+    def test_equivariance_refuses_a_fault_off_the_representatives(
+        self, monkeypatch, q, limit, wrong
+    ):
+        # wrong only on instances the reduced claim does not run, so it
+        # passes: only the equivariance check and the full scan see it
         real = cdc.delete_step
 
         def mutant(x, y, q):
-            if x[0] and y[0]:
+            triple, rest_x, rest_y = real(x, y, q)
+            if wrong(x, y, triple.interval, q):
                 raise cdc.NotDeconstructableError("mutant")
-            return real(x, y, q)
+            return triple, rest_x, rest_y
 
         monkeypatch.setattr(cdc, "delete_step", mutant)
         assert orc.run_check("insert_delete", q, limit).passed
         assert insert_delete_full_scan(q, limit)[1] is not None
-        assert shift_equivariance_counterexample(q, limit) is not None
+        assert equivariance_counterexample(q, limit) is not None
 
     @pytest.mark.parametrize("q,max_n", [(2, 7), (3, 4), (4, 3)])
     def test_degree_claim_inputs_are_orbit_invariant(self, q, max_n):
@@ -780,12 +794,13 @@ class TestSymmetryClassClaims:
                 assert profile(r) == representative[orbit], (q, n, r)
 
     @pytest.mark.parametrize(
-        "q,limit,calls,instances", [(3, 5, 43456, 130368), (4, 4, 135450, 541800)]
+        "q,limit,calls,instances", [(3, 5, 22504, 130368), (4, 4, 77658, 541800)]
     )
     def test_inversion_calls_delete_step_once_per_class(
         self, monkeypatch, q, limit, calls, instances
     ):
-        # calls == instances / q: one interval in q runs
+        # the intervals with w[0] = 0, one in q, less those whose negation
+        # is smaller: a little over instances / (2 * q)
         counted = _counting(monkeypatch, cdc, "delete_step")
         assert orc.run_check("insert_delete", q, limit).instances == instances
         assert len(counted) == calls

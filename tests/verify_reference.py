@@ -1,13 +1,16 @@
-"""Second routes to three claims of `delins verify`, for tests.
+"""Second routes to four claims of `delins verify`, for tests.
 
-oracle._check_insert_delete runs one interval per cyclic-shift class and
-oracle._check_degree_lower_bound one string per orbit.  The scans here run
-every instance, in the same order, and report the same (instances, first
-counterexample), so tests can compare the reduced claims with a plain loop.
-shift_equivariance_counterexample checks the symmetry that the inversion
-reduction rests on.  Like the claims, these read SUFFIX_LENGTH, MAX_S and
-the codec and bound functions from their modules when they run, so a test
-that rebinds one changes both routes.
+Three claims run on symmetry classes: oracle._check_parallelogram reads
+one x per symbol relabelling, oracle._check_insert_delete one interval per
+class of the maps c -> +-c + t mod q, and oracle._check_degree_lower_bound
+one string per orbit.  The scans here run every instance, in the same
+order, and report the same (instances, first counterexample), so tests can
+compare the reduced claims with a plain loop.  equivariance_counterexample
+checks the symmetry that the inversion reduction rests on.  Like the
+claims, these read SUFFIX_LENGTH, MAX_S and the codec and bound functions
+from their modules when they run, so a test that rebinds one changes both
+routes; parallelogram_full_scan reads lcs_length and scs_length from this
+module, so a test skews it by rebinding them here.
 
 channels.channel_conflict_masks builds the channel side of the equivalence
 claim by a level walk of single-position deletions;
@@ -24,6 +27,8 @@ from delins import codec as cdc
 from delins import oracle as orc
 from delins.codec import InsertTriple
 from delins.qstrings import Qstr, all_strings, format_qary, non_alternating_strings, string_stats
+
+from lcs_reference import lcs_length, scs_length
 
 
 def inversion_grid(q: int, limit: int) -> Iterator[tuple[InsertTriple, Qstr, Qstr, Qstr, Qstr]]:
@@ -70,6 +75,27 @@ def insert_delete_full_scan(q: int, limit: int) -> tuple[int, str | None]:
     return instances, None
 
 
+def parallelogram_full_scan(q: int, limit: int) -> tuple[int, str | None]:
+    """The duality claim on every pair (x, y) of every (m, n), each length
+    l in [1, min(m, n)) decided from lcs_length and scs_length.  Like the
+    claim, it counts every instance of the (m, n) that holds the first
+    failure."""
+    instances = 0
+    for m in range(2, limit + 1):
+        for n in range(2, limit + 1):
+            first = None
+            for x in all_strings(q, m):
+                for y in all_strings(q, n):
+                    lcs, scs = lcs_length(x, y), scs_length(x, y)
+                    for l in range(1, min(m, n)):
+                        instances += 1
+                        if first is None and (lcs >= l) != (scs <= m + n - l):
+                            first = f"q={q} l={l} m={m} n={n} {orc._pair(x, y, q)}"
+            if first is not None:
+                return instances, first
+    return instances, None
+
+
 def degree_lower_bound_full_scan(q: int, limit: int) -> tuple[int, str | None]:
     """The degree lower bound claim on every string of every length."""
     limit = min(limit, 8 if q == 2 else 5)
@@ -100,9 +126,16 @@ def channel_masks_by_outputs(q: int, n: int, a: int, b: int) -> list[int]:
     return ch.conflict_masks(q ** n, holders)
 
 
-def shift(x: Qstr, t: int, q: int) -> Qstr:
-    """x under the cyclic shift c -> c + t mod q."""
-    return tuple([(c + t) % q for c in x])
+def relabel(x: Qstr, sign: int, t: int, q: int) -> Qstr:
+    """x under the map c -> sign * c + t mod q."""
+    return tuple([(sign * c + t) % q for c in x])
+
+
+def _maps(q: int) -> list[tuple[int, int]]:
+    """(sign, t) of every map c -> sign * c + t mod q but the identity.  At
+    q = 2 the negation is the identity, so two pairs repeat a map; that only
+    repeats checks."""
+    return [(sign, t) for sign in (1, -1) for t in range(q) if (sign, t) != (1, 0)]
 
 
 def _delete_outcome(x: Qstr, y: Qstr, q: int) -> object:
@@ -114,24 +147,29 @@ def _delete_outcome(x: Qstr, y: Qstr, q: int) -> object:
     return tuple(triple), rest_x, rest_y
 
 
-def _shifted(outcome: object, t: int, q: int) -> object:
+def _relabelled(outcome: object, sign: int, t: int, q: int) -> object:
     if isinstance(outcome, type):
         return outcome
     (side, offset, interval), rest_x, rest_y = outcome
-    return (side, offset, shift(interval, t, q)), shift(rest_x, t, q), shift(rest_y, t, q)
+    return (
+        (side, sign * offset % q, relabel(interval, sign, t, q)),
+        relabel(rest_x, sign, t, q),
+        relabel(rest_y, sign, t, q),
+    )
 
 
-def shift_equivariance_counterexample(q: int, limit: int) -> str | None:
-    """The first instance of the inversion grid, with a shift t, at which
-    insert_step or delete_step does not commute with the cyclic shift
-    c -> c + t mod q, or None.  A refusal must stay a refusal of the same
-    exception type.
+def equivariance_counterexample(q: int, limit: int) -> str | None:
+    """The first instance of the inversion grid, with a map c -> sign * c + t
+    mod q, at which insert_step or delete_step does not commute with that
+    map, or None.  The map sends offset k to sign * k mod q.  A refusal must
+    stay a refusal of the same exception type.
 
-    The grid is closed under the shifts and they form a group, so the
-    instances with w[0] = 0 are compared, each against its every shift:
-    for an instance I = shift_s(R), the shift t of I is shift_(s+t)(R), so
-    this compares every instance with every shift of it.
+    The grid is closed under the maps and they form a group, so the
+    instances R with w[0] = 0 are compared, each against its every map:
+    every instance is I = g(R) for a shift g and such an R, and the steps
+    commute with g and with hg at R, so they commute with h at I.
     """
+    maps = _maps(q)
     checked = None
     for triple, x, y, u, v in inversion_grid(q, limit):
         if triple.interval[0]:
@@ -139,13 +177,19 @@ def shift_equivariance_counterexample(q: int, limit: int) -> str | None:
         side, offset, w = triple
         if triple != checked:
             checked = triple
-            for t in range(1, q):
-                inserted = cdc.insert_step(InsertTriple(side, offset, shift(w, t, q)), q)
-                if inserted != (shift(x, t, q), shift(y, t, q)):
-                    return f"q={q} side={side} offset={offset} w={format_qary(w, q)} t={t}"
+            for sign, t in maps:
+                mapped = InsertTriple(side, sign * offset % q, relabel(w, sign, t, q))
+                if cdc.insert_step(mapped, q) != (
+                    relabel(x, sign, t, q), relabel(y, sign, t, q)
+                ):
+                    return (
+                        f"q={q} side={side} offset={offset} w={format_qary(w, q)} "
+                        f"sign={sign} t={t}"
+                    )
         xu, yv = x + u, y + v
         want = _delete_outcome(xu, yv, q)
-        for t in range(1, q):
-            if _delete_outcome(shift(xu, t, q), shift(yv, t, q), q) != _shifted(want, t, q):
-                return f"{_instance(q, triple, u, v)} t={t}"
+        for sign, t in maps:
+            got = _delete_outcome(relabel(xu, sign, t, q), relabel(yv, sign, t, q), q)
+            if got != _relabelled(want, sign, t, q):
+                return f"{_instance(q, triple, u, v)} sign={sign} t={t}"
     return None
