@@ -112,14 +112,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     checks = orc.verify_all_lemmas(args.q, args.max_n, args.cap)
     width = max(len(c.name) for c in checks)
-    failed = False
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"{c.name:<{width}}  {status}  (instances={c.instances})")
         if not c.passed:
-            failed = True
             print(f"  counterexample: {c.counterexample}")
-    return EXIT_FAIL if failed else EXIT_OK
+    return EXIT_OK if all(c.passed for c in checks) else EXIT_FAIL
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
@@ -230,14 +228,14 @@ def cmd_codec(args: argparse.Namespace) -> int:
         )
     count, failure = cdc.roundtrip_counterexample(q, args.l, args.a, args.b, args.cap)
     if failure is not None:
-        x, y = failure
-        print(
-            f"round-trip FAILED for x={format_qary(x, q)} y={format_qary(y, q)}"
-            f" (parameter {count} of {total})"
-        )
-        return EXIT_FAIL
-    print(f"all {count} parameters round-trip")
-    return EXIT_OK
+        x, y = (format_qary(w, q) for w in failure)
+        print(f"round-trip FAILED for x={x} y={y} (parameter {count} of {total})")
+    elif count != total:
+        print(f"round-trip FAILED: the walk checked {count} parameters, parameter_count is {total}")
+    else:
+        print(f"all {count} parameters round-trip")
+        return EXIT_OK
+    return EXIT_FAIL
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,8 +10,9 @@ bound on the edge count.
 
 The round trip walks the parameters in blocks that share the gap sides, the
 offsets and the interval lengths.  Within a block every starting interval
-shares the same tails, so each tail is built once and decoded as it is
-built, and each edge only has its starting interval split off by match.
+shares the same tails, and a common prefix does not change where match
+splits, so each tail is built and decided once and the block's edges are
+counted as the product of its pool sizes.
 """
 
 from __future__ import annotations
@@ -215,8 +216,7 @@ def parameter_blocks(
 
     def generate() -> Iterator[Block]:
         for subset in side_subsets:
-            chosen = set(subset)
-            sides = tuple(LEFT if i in chosen else RIGHT for i in range(s))
+            sides = tuple(LEFT if i in subset else RIGHT for i in range(s))
             for offsets in product(range(1, q), repeat=s):
                 for comp in enumerate_compositions(s + 1, l, 2):
                     yield sides, offsets, tuple(non_alternating_strings(q, part) for part in comp)
@@ -240,20 +240,20 @@ def roundtrip_counterexample(
     (z0 + rx, z0 + ry).  deconstruct is match followed by undo_steps on the
     rests, so that edge decodes to its own parameter exactly when
     match(z0 + rx, z0 + ry) == (z0, rx, ry) and undo_steps(rx, ry) == keys.
-    The second condition does not depend on z0, so each tail is decoded
-    once, as it is built, and every edge still goes through match.  A
-    refusal of undo_steps fails the tail like a wrong answer; so does
-    delete_step's refusal of rests with equal heads, which match rejects on
-    every edge of that tail anyway.  A tail that fails fails for every z0,
-    and the first z0's row comes first in parameter order, so the first
-    failing edge, and the count, are the ones a per-edge deconstruct would
-    report.
+    match is a longest-common-prefix split, so a common prefix z0 only moves
+    its split by len(z0), and the first condition holds for every z0 of the
+    block exactly when match(rx, ry) == ((), rx, ry): the rests are empty
+    (s = 0) or their heads differ.  So each tail is decided once, on its own
+    rests, and a block that passes counts the product of its pool sizes.  A
+    refusal of undo_steps fails the tail like a wrong answer.  A failing
+    tail fails for every z0, and the first z0's row comes first in parameter
+    order, so the first failing edge, and the count, are the ones a
+    per-edge deconstruct would report.
     """
     count = 0
     steps: dict[tuple[str, int, Qstr], tuple[Qstr, Qstr]] = {}  # insert_step memo
     for sides, offsets, pools in parameter_blocks(q, l, a, b, cap):
-        tails = []
-        for tail in product(*pools[1:]):
+        for index, tail in enumerate(product(*pools[1:])):
             keys = tuple(zip(sides, offsets, tail))
             rx = ry = ()
             for key in keys:
@@ -264,14 +264,10 @@ def roundtrip_counterexample(
                 ry += step[1]
             try:
                 # an InsertTriple compares equal to its plain (side, offset, interval) key
-                decodes = undo_steps(rx, ry, q) == keys
-            except ValueError:  # NotDeconstructableError, or heads that do not differ
+                decodes = match(rx, ry) == ((), rx, ry) and undo_steps(rx, ry, q) == keys
+            except ValueError:  # NotDeconstructableError, or another refusal of delete_step
                 decodes = False
-            tails.append((rx, ry, decodes))
-        for z0 in pools[0]:
-            for rx, ry, decodes in tails:
-                count += 1
-                x, y = z0 + rx, z0 + ry
-                if match(x, y) != (z0, rx, ry) or not decodes:
-                    return count, (x, y)
+            if not decodes:  # it fails first at the block's first z0
+                return count + index + 1, (pools[0][0] + rx, pools[0][0] + ry)
+        count += math.prod(map(len, pools))
     return count, None

@@ -45,6 +45,7 @@ from delins.qstrings import (
     format_qary,
     non_alternating_strings,
     orbit_tally,
+    rank_of,
     string_of,
     string_stats,
     symmetry_orbits,
@@ -350,12 +351,12 @@ EPS_GRID = (0.1, 0.2, 0.3, 0.5)
 
 # The claim registry: check key -> (report name, grid ceiling), in report
 # order.  Each _check_<key>(q, limit, cap) runs one claim over its instance
-# grid up to length limit and returns (instances run, first counterexample
-# or None).  verify_all_lemmas runs each claim at min(ceiling, max_n), or at
-# max_n for a claim with no ceiling; the quadratic and codec-heavy claims
-# have one.  run_check looks the function up in this module when it runs, so
-# rebinding oracle._check_<key> (as a tracer or a test does) changes what
-# runs.
+# grid up to length limit and returns (instances run, up to and including
+# the first counterexample; that counterexample or None).  verify_all_lemmas
+# runs each claim at min(ceiling, max_n), or at max_n for a claim with no
+# ceiling; the quadratic and codec-heavy claims have one.  run_check looks
+# the function up in this module when it runs, so rebinding
+# oracle._check_<key> (as a tracer or a test does) changes what runs.
 CHECKS = {
     "parallelogram": ("substring parallelogram", 5),
     "channel_equivalence": ("channel conflict equivalence", 5),
@@ -381,10 +382,11 @@ def _check_parallelogram(q: int, limit: int, cap: int) -> tuple[int, str | None]
     for m in range(2, limit + 1):
         for n in range(2, limit + 1):
             witness = ch.parallelogram_range_counterexample(q, m, n, cap)
-            instances += q ** (m + n) * (min(m, n) - 1)
             if witness is not None:
                 l, x, y = witness
+                instances += (rank_of(x, q) * q ** n + rank_of(y, q)) * (min(m, n) - 1) + l
                 return instances, f"q={q} l={l} m={m} n={n} {_pair(x, y, q)}"
+            instances += q ** (m + n) * (min(m, n) - 1)
     return instances, None
 
 
@@ -393,9 +395,10 @@ def _check_channel_equivalence(q: int, limit: int, cap: int) -> tuple[int, str |
     for n in range(1, limit + 1):
         for a, b in _splits(min(MAX_S, n)):
             witness = ch.channel_equivalence_counterexample(q, n, a, b, cap)
-            instances += q ** (2 * n)
             if witness is not None:
+                instances += rank_of(witness[0], q) * q ** n + rank_of(witness[1], q) + 1
                 return instances, f"q={q} n={n} a={a} b={b} {_pair(*witness, q)}"
+            instances += q ** (2 * n)
     return instances, None
 
 
@@ -482,8 +485,10 @@ def _check_roundtrip(q: int, limit: int, cap: int) -> tuple[int, str | None]:
         for a, b in _splits(MAX_S):
             count, failure = cdc.roundtrip_counterexample(q, l, a, b, cap)
             instances += count
-            if failure is not None:
-                return instances, f"q={q} l={l} a={a} b={b} {_pair(*failure, q)}"
+            total = cdc.parameter_count(q, l, a, b)  # the closed form, a second route to count
+            if failure is not None or count != total:
+                found = _pair(*failure, q) if failure else f"walked={count} parameter_count={total}"
+                return instances, f"q={q} l={l} a={a} b={b} {found}"
     return instances, None
 
 

@@ -537,7 +537,7 @@ class TestDualitySweep:
         _skew_both_routes(monkeypatch, _off_representatives)
         assert orc.run_check("parallelogram", q, limit).passed
         assert verify_reference.parallelogram_full_scan(q, limit) == (
-            q ** 4, f"q={q} l=1 m=2 n=2 x=10 y=00"
+            q ** 3 + 1, f"q={q} l=1 m=2 n=2 x=10 y=00"
         )
 
     @pytest.mark.parametrize("q,m,n", [(2, 5, 4), (2, 4, 6), (3, 4, 4)])
@@ -631,25 +631,29 @@ class TestChannelEquivalence:
 
     @staticmethod
     def _first_disagreement(strings, dels, channel_rows):
-        """The first pair whose deletion sets meet while their channel rows do
-        not, or the other way round; channel_rows[i] is the set of inputs in
-        conflict with strings[i] (itself included)."""
-        return next(
-            (
-                (strings[i], strings[j])
-                for i in range(len(strings))
-                for j in range(i + 1, len(strings))
-                if dels[i].isdisjoint(dels[j]) == (strings[j] in channel_rows[i])
-            ),
-            None,
-        )
+        """(pairs scanned, pair) at the first pair, both strings in
+        all_strings order, whose deletion sets meet while their channel rows
+        do not, or the other way round; channel_rows[i] is the set of inputs
+        in conflict with strings[i] (itself included).  The diagonal pairs
+        are scanned but not compared."""
+        scanned = 0
+        for i, x in enumerate(strings):
+            for j, y in enumerate(strings):
+                scanned += 1
+                if i != j and dels[i].isdisjoint(dels[j]) == (y in channel_rows[i]):
+                    return scanned, (x, y)
+        return None
 
     @staticmethod
-    def _assert_verify_reports(capsys, q, n, a, b, pair):
+    def _assert_verify_reports(capsys, q, n, a, b, scanned, pair):
+        # every (n, a, b) before this one passes with all q**(2n) pairs, and
+        # this one counts the pairs up to and including its first failure
+        grid = [(n_, split) for n_ in range(1, n + 1) for split in orc._splits(min(orc.MAX_S, n_))]
+        earlier = sum(q ** (2 * n_) for n_, _ in grid[: grid.index((n, (a, b)))])
         assert cli.main(["verify", "--q", str(q), "--max-n", str(n)]) == 1
         lines = capsys.readouterr().out.splitlines()
         at = next(i for i, line in enumerate(lines) if line.startswith("channel conflict equivalence"))
-        assert "FAIL" in lines[at]
+        assert lines[at].split()[-2:] == ["FAIL", f"(instances={earlier + scanned})"]
         x, y = (qs.format_qary(w, q) for w in pair)
         assert lines[at + 1] == f"  counterexample: q={q} n={n} a={a} b={b} x={x} y={y}"
 
@@ -672,12 +676,11 @@ class TestChannelEquivalence:
         rows = [
             {y for y, other in zip(strings, outs) if not mine.isdisjoint(other)} for mine in outs
         ]
-        brute = self._first_disagreement(strings, dels, rows)
-        assert brute is not None
+        scanned, brute = self._first_disagreement(strings, dels, rows)
 
         self._fault_in_instance(monkeypatch, (q, n, a, b), "deletion_groups", dropped)
         assert ch.channel_equivalence_counterexample(q, n, a, b) == brute
-        self._assert_verify_reports(capsys, q, n, a, b, brute)
+        self._assert_verify_reports(capsys, q, n, a, b, scanned, brute)
 
     @FAULT_ROWS
     def test_walk_fault_matches_brute_force(self, monkeypatch, capsys, q, n, a, b, victim):
@@ -715,14 +718,13 @@ class TestChannelEquivalence:
             rows = moved
         strings = list(qs.all_strings(q, n))
         dels = [ch.deletion_set(x, a + b) for x in strings]
-        brute = self._first_disagreement(strings, dels, [rows[x] for x in strings])
-        assert brute is not None
+        scanned, brute = self._first_disagreement(strings, dels, [rows[x] for x in strings])
 
         self._fault_in_instance(monkeypatch, (q, n, a, b), "_removal_blocks", faulted)
         assert ch.channel_equivalence_counterexample(q, n, a, b) == brute
         assert len(calls) == sum(longer)
         calls.clear()
-        self._assert_verify_reports(capsys, q, n, a, b, brute)
+        self._assert_verify_reports(capsys, q, n, a, b, scanned, brute)
 
     def test_memory_peak_stays_small(self):
         # no output set is built: the walk keeps two levels of rows, at most

@@ -495,7 +495,25 @@ class TestCodec:
         assert "usage error" not in err
 
     def test_roundtrip_failure_names_its_position(self, capsys, monkeypatch):
-        # the sixth parameter of (2, 6, 1, 1): z0=11, tail (00, 11), left then right
+        # match splits one tail's rests wrongly: the tail (00, 11) of the
+        # second block, whose first edge is the tenth parameter of (2, 6, 1, 1)
+        tenth = ((0, 0, 0, 0, 0, 1, 1), (0, 0, 1, 0, 0, 1, 1))
+        match = cli.cdc.match
+        rests = match(*tenth)[1:]
+
+        def splits_late(x, y):
+            p, u, v = match(x, y)
+            return (p + u[:1], u[1:], v[1:]) if (x, y) == rests else (p, u, v)
+
+        monkeypatch.setattr(cli.cdc, "match", splits_late)
+        code, out, _ = run_cli(
+            capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
+        )
+        assert (code, out) == (1, "round-trip FAILED for x=0000011 y=0010011 (parameter 10 of 16)\n")
+
+    def test_match_wrong_on_one_whole_edge_shows_in_its_deconstruct(self, capsys, monkeypatch):
+        # the round trip calls match on rests only, so it passes a match
+        # wrong on the whole sixth edge; deconstructing that edge shows it
         sixth = ((1, 1, 1, 0, 0, 1, 1), (1, 1, 0, 0, 0, 1, 1))
         match = cli.cdc.match
 
@@ -503,11 +521,34 @@ class TestCodec:
             z0, rx, ry = match(x, y)
             return (z0[:-1], rx, ry) if (x, y) == sixth else (z0, rx, ry)
 
+        assert run_cli(capsys, "codec", "--deconstruct", "1110011", "1100011")[1] == (
+            "z0=11; left 1 00; right 1 11\n"
+        )
         monkeypatch.setattr(cli.cdc, "match", misreports_sixth)
         code, out, _ = run_cli(
             capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
         )
-        assert (code, out) == (1, "round-trip FAILED for x=1110011 y=1100011 (parameter 6 of 16)\n")
+        assert (code, out) == (0, "all 16 parameters round-trip\n")
+        assert run_cli(capsys, "codec", "--deconstruct", "1110011", "1100011")[1] == (
+            "z0=1; left 1 00; right 1 11\n"
+        )
+
+    def test_roundtrip_count_must_be_the_parameter_count(self, capsys, monkeypatch):
+        # a walk that misses a parameter passes every edge it sees; the
+        # closed-form count catches it
+        blocks = cli.cdc.parameter_blocks
+
+        def drops_one_string(*args):
+            for i, (sides, offsets, pools) in enumerate(blocks(*args)):
+                yield sides, offsets, (pools[:-1] + (pools[-1][:-1],) if i == 0 else pools)
+
+        monkeypatch.setattr(cli.cdc, "parameter_blocks", drops_one_string)
+        code, out, _ = run_cli(
+            capsys, "codec", "--roundtrip", "--q", "2", "--l", "6", "--a", "1", "--b", "1"
+        )
+        assert (code, out) == (
+            1, "round-trip FAILED: the walk checked 12 parameters, parameter_count is 16\n"
+        )
 
     def test_construct_from_file(self, capsys, tmp_path):
         path = tmp_path / "params.txt"

@@ -86,6 +86,51 @@ class TestMatch:
         assert cdc.match(x, y) == expected
 
 
+def _short_splits(q):
+    """Every (z0, u, v) over [q] with len(z0) <= 3 and len(u), len(v) <= 4."""
+    def upto(n):
+        return [w for k in range(n + 1) for w in qs.all_strings(q, k)]
+
+    rests = upto(4)
+    return ((z0, u, v) for z0 in upto(3) for u in rests for v in rests)
+
+
+def _prefix_property_counterexample(splits):
+    """The first (z0, u, v) at which match(z0 + u, z0 + v) is not
+    (z0 + p, u2, v2) for (p, u2, v2) = match(u, v), or None."""
+    for z0, u, v in splits:
+        p, u2, v2 = cdc.match(u, v)
+        if cdc.match(z0 + u, z0 + v) != (z0 + p, u2, v2):
+            return z0, u, v
+    return None
+
+
+class TestMatchPrefixProperty:
+    # roundtrip_counterexample decides a tail for every z0 of its block by
+    # match on the tail's own rests; that rests on this property
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_a_common_prefix_only_moves_the_split(self, q):
+        assert _prefix_property_counterexample(_short_splits(q)) is None
+
+    @pytest.mark.parametrize("q,l,a,b", [(2, 4, 1, 0), (3, 4, 1, 0)])
+    def test_refuses_a_match_wrong_only_at_a_later_z0(self, monkeypatch, q, l, a, b):
+        # the edge lies inside the grid above, so the property check refuses
+        # the fault; the round trip alone no longer sees it
+        bad = _later_z0_edge(q, l, a, b)
+        match = cdc.match
+
+        def misreports(x, y):
+            z0, rx, ry = match(x, y)
+            return (z0[:-1], rx, ry) if (x, y) == bad else (z0, rx, ry)
+
+        monkeypatch.setattr(cdc, "match", misreports)
+        z0, u, v = _prefix_property_counterexample(_short_splits(q))
+        assert (z0 + u, z0 + v) == bad
+        assert cdc.roundtrip_counterexample(q, l, a, b) == (cdc.parameter_count(q, l, a, b), None)
+        assert _per_edge_roundtrip(q, l, a, b)[1] == bad
+
+
 class TestDeleteStep:
     def test_undoes_insert_with_suffixes(self):
         for param_w in qs.non_alternating_strings(2, 3):
@@ -297,16 +342,25 @@ class TestRoundTrip:
         # so edges[5] shares its tail with edges[1], the first z0's row
         edges = [construct_edge(p, 2) for p in enumerate_parameters(2, 6, 1, 1)]
         match, undo_steps = cdc.match, cdc.undo_steps
+        bad_rests = match(*edges[5])[1:]
 
         def misreports_later_edges(x, y):
             z0, rx, ry = match(x, y)
             return (z0[:-1], rx, ry) if (x, y) in edges[5:] else (z0, rx, ry)
 
+        # match only ever sees rests now, so the round trip passes a fault
+        # on whole edges; the per-edge reference still refuses it
         monkeypatch.setattr(cdc, "match", misreports_later_edges)
-        assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (6, edges[5])
-        monkeypatch.setattr(cdc, "match", match)
+        assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (16, None)
+        assert _per_edge_roundtrip(2, 6, 1, 1) == (6, edges[5])
 
-        bad_rests = match(*edges[5])[1:]
+        def splits_one_tail_late(rx, ry):
+            p, u, v = match(rx, ry)
+            return (p + u[:1], u[1:], v[1:]) if (rx, ry) == bad_rests else (p, u, v)
+
+        monkeypatch.setattr(cdc, "match", splits_one_tail_late)
+        assert cdc.roundtrip_counterexample(2, 6, 1, 1) == (2, edges[1])
+        monkeypatch.setattr(cdc, "match", match)
 
         def drops_last_step_of_one_tail(rx, ry, q, on_step=None):
             triples = undo_steps(rx, ry, q, on_step)
@@ -330,8 +384,9 @@ class TestRoundTrip:
         "q,l,a,b", [(2, 6, 1, 1), (3, 6, 1, 1), (2, 7, 2, 0), (2, 8, 1, 2), (4, 4, 1, 0)]
     )
     def test_deconstruct_gets_each_constructed_edge_once(self, monkeypatch, q, l, a, b):
-        # every edge is split by match once, in parameter order; each tail
-        # is decoded once, on the first z0 of its block
+        # each tail is decided once, in parameter order, by one match and one
+        # undo_steps on its own rests: those of its edge on the first z0 of
+        # its block; every edge is still counted once
         matched, decoded = [], []
         match, undo_steps = cdc.match, cdc.undo_steps
 
@@ -349,12 +404,10 @@ class TestRoundTrip:
         assert failure is None
         params = list(enumerate_parameters(q, l, a, b))
         edges = [construct_edge(p, q) for p in params]
-        assert matched == edges
-        assert count == len(matched) == cdc.parameter_count(q, l, a, b) > 0
-        assert decoded == [
-            match(*edge)[1:] for edge, first in zip(edges, _on_first_z0(params)) if first
-        ]
-        assert len(decoded) == len({(_block(p), p.intervals[1:]) for p in params}) < count
+        assert count == len(edges) == cdc.parameter_count(q, l, a, b) > 0
+        tails = [match(*edge)[1:] for edge, first in zip(edges, _on_first_z0(params)) if first]
+        assert matched == decoded == tails
+        assert len(tails) == len({(_block(p), p.intervals[1:]) for p in params}) < count
 
     def test_insert_steps_come_from_insert_step(self, monkeypatch):
         insert_step = cdc.insert_step
@@ -405,17 +458,22 @@ class TestRoundTripMatchesPerEdgeReference:
         assert cdc.roundtrip_counterexample(q, l, a, b) == _per_edge_roundtrip(q, l, a, b) == want
 
     def test_match_misreports_an_edge_at_a_later_z0(self, monkeypatch, q, l, a, b):
+        # the round trip calls match on rests only, so it alone now passes
+        # this fault; the per-edge reference refuses it at that edge, and so
+        # does the prefix property at the edge's own split (exhaustively so
+        # in TestMatchPrefixProperty when the edge is short)
         bad = _later_z0_edge(q, l, a, b)
         match = cdc.match
+        split = match(*bad)
 
         def misreports(x, y):
             z0, rx, ry = match(x, y)
             return (z0[:-1], rx, ry) if (x, y) == bad else (z0, rx, ry)
 
         monkeypatch.setattr(cdc, "match", misreports)
-        got = cdc.roundtrip_counterexample(q, l, a, b)
-        assert got == _per_edge_roundtrip(q, l, a, b)
-        assert got[1] == bad
+        assert cdc.roundtrip_counterexample(q, l, a, b) == (cdc.parameter_count(q, l, a, b), None)
+        assert _per_edge_roundtrip(q, l, a, b)[1] == bad
+        assert _prefix_property_counterexample([split]) == split
 
     @pytest.mark.parametrize("fault", ["raises", "adds_a_step"])
     def test_one_tail_fails_to_decode(self, monkeypatch, q, l, a, b, fault):

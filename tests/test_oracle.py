@@ -648,8 +648,9 @@ class TestClaimCounterexamples:
     @pytest.mark.parametrize("q", [2, 3])
     def test_skewed_duality_tables_are_the_parallelogram_counterexample(self, monkeypatch, q):
         # at m = 3 only, SCS three long on pairs with LCS 2 whose first and
-        # last symbols differ; (m, n) = (2, 2), (2, 3), (2, 4) pass first and
-        # every (m, n) up to (3, 2) checks one length l
+        # last symbols differ; (m, n) = (2, 2), (2, 3), (2, 4) pass first,
+        # every (m, n) up to (3, 2) checks one length l, and at (3, 2) the
+        # pairs before x = 001 (rank 1), y = 01 (rank 1) number q**2 + 1
         tables = ch._duality_tables
 
         def skewed(q, m, n):
@@ -663,7 +664,23 @@ class TestClaimCounterexamples:
         monkeypatch.setattr(ch, "_duality_tables", skewed)
         check = orc.run_check("parallelogram", q, 4)
         assert (check.passed, check.instances, check.counterexample) == (
-            False, q ** 4 + q ** 5 + q ** 6 + q ** 5, f"q={q} l=1 m=3 n=2 x=001 y=01"
+            False, q ** 4 + q ** 5 + q ** 6 + q ** 2 + 2, f"q={q} l=1 m=3 n=2 x=001 y=01"
+        )
+
+    def test_a_walk_that_misses_a_parameter_fails_the_round_trip(self, monkeypatch):
+        # every edge the walk sees decodes, but its count is not the closed
+        # form's; l = 1 has no parameter, and (l, a, b) = (2, 0, 0) has the
+        # block of 00 and 11, which loses 11
+        blocks = cdc.parameter_blocks
+
+        def drops_one_string(*args):
+            for sides, offsets, pools in blocks(*args):
+                yield sides, offsets, pools[:-1] + (pools[-1][:-1],)
+
+        monkeypatch.setattr(cdc, "parameter_blocks", drops_one_string)
+        check = orc.run_check("roundtrip", 2, 6)
+        assert (check.passed, check.instances, check.counterexample) == (
+            False, 1, "q=2 l=2 a=0 b=0 walked=1 parameter_count=2"
         )
 
 

@@ -77,22 +77,18 @@ def insert_delete_full_scan(q: int, limit: int) -> tuple[int, str | None]:
 
 def parallelogram_full_scan(q: int, limit: int) -> tuple[int, str | None]:
     """The duality claim on every pair (x, y) of every (m, n), each length
-    l in [1, min(m, n)) decided from lcs_length and scs_length.  Like the
-    claim, it counts every instance of the (m, n) that holds the first
-    failure."""
+    l in [1, min(m, n)) decided from lcs_length and scs_length, counted up
+    to and including the first failure."""
     instances = 0
     for m in range(2, limit + 1):
         for n in range(2, limit + 1):
-            first = None
             for x in all_strings(q, m):
                 for y in all_strings(q, n):
                     lcs, scs = lcs_length(x, y), scs_length(x, y)
                     for l in range(1, min(m, n)):
                         instances += 1
-                        if first is None and (lcs >= l) != (scs <= m + n - l):
-                            first = f"q={q} l={l} m={m} n={n} {orc._pair(x, y, q)}"
-            if first is not None:
-                return instances, first
+                        if (lcs >= l) != (scs <= m + n - l):
+                            return instances, f"q={q} l={l} m={m} n={n} {orc._pair(x, y, q)}"
     return instances, None
 
 
