@@ -304,7 +304,8 @@ def _check_graph_size(q: int, l: int, a: int, b: int, cap: int) -> None:
     check_graph_parameters(q, l, a, b)
     vertices = q ** (l + a) + q ** (l + b)
     if vertices > cap:
-        raise CapExceededError("channel graph vertex enumeration", vertices, cap)
+        what = f"channel graph vertex enumeration at q={q} l={l} a={a} b={b}"
+        raise CapExceededError(what, vertices, cap)
 
 
 def degree_histogram(q: int, l: int, a: int, b: int, cap: int = DEFAULT_CAP) -> Counter[int]:
@@ -425,7 +426,7 @@ def parallelogram_range_counterexample(
         return None
     pairs = q ** (m + n)
     if pairs > cap:
-        raise CapExceededError("parallelogram pair enumeration", pairs, cap)
+        raise CapExceededError(f"parallelogram pair enumeration at q={q} m={m} n={n}", pairs, cap)
     total = m + n
     top = min(m, n) - 1
     balanced = [total] * q ** n
@@ -513,7 +514,8 @@ def channel_equivalence_counterexample(
         raise ValueError(f"need a + b <= n, got {s} > {n}")
     work = max(q ** n * (output_count_bound(q, n, a, b) + binomial(n, s)), q ** (2 * n))
     if work > cap:
-        raise CapExceededError("channel equivalence enumeration", work, cap)
+        what = f"channel equivalence enumeration at q={q} n={n} a={a} b={b}"
+        raise CapExceededError(what, work, cap)
     deletion_masks = conflict_masks(q ** n, deletion_groups(q, n, s))
     channel_masks = channel_conflict_masks(q, n, a, b)
     for i, (mine, theirs) in enumerate(zip(deletion_masks, channel_masks)):

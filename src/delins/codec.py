@@ -210,7 +210,7 @@ def parameter_blocks(
     """
     total = parameter_count(q, l, a, b)
     if total > cap:
-        raise CapExceededError("edge parameter enumeration", total, cap)
+        raise CapExceededError(f"edge parameter enumeration at q={q} l={l} a={a} b={b}", total, cap)
     s = a + b
     side_subsets = sorted(combinations(range(s), a), key=lambda c: c[::-1])
 

@@ -61,9 +61,10 @@ class ConflictGraph:
     """Conflict relation on [q]^n for s total errors, in search order.
 
     order[p] is the rank of the string at position p: ranks sorted by
-    s-deletion set size, then by rank.  costs[p] is that size, so costs never
-    decrease.  masks[p] has bit p' set iff the s-deletion sets at positions p
-    and p' intersect; irreflexive and symmetric as stored.
+    s-deletion set size, then by rank.  This order fixes the search's branch
+    order, so its node counts and the code it returns.  masks[p] has bit p'
+    set iff the s-deletion sets at positions p and p' intersect; irreflexive
+    and symmetric as stored.
     """
 
     q: int
@@ -71,7 +72,6 @@ class ConflictGraph:
     s: int
     order: tuple[int, ...]
     masks: tuple[int, ...]
-    costs: tuple[int, ...]
 
     @property
     def size(self) -> int:
@@ -93,17 +93,17 @@ def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> Confl
     size = q ** n
     if size > cap:
         raise CapExceededError("conflict graph vertex enumeration", size, cap)
-    costs = [0] * size
+    set_sizes = [0] * size
     for group in ch.deletion_groups(q, n, s):
         for r in group:
-            costs[r] += 1
-    order = sorted(range(size), key=costs.__getitem__)  # stable: ties stay in rank order
+            set_sizes[r] += 1
+    order = sorted(range(size), key=set_sizes.__getitem__)  # stable: ties stay in rank order
     position_of = [0] * size
     for position, r in enumerate(order):
         position_of[r] = position
     groups = ch.deletion_groups(q, n, s)
     masks = ch.conflict_masks(size, ([position_of[r] for r in group] for group in groups))
-    return ConflictGraph(q, n, s, tuple(order), tuple(masks), tuple(costs[r] for r in order))
+    return ConflictGraph(q, n, s, tuple(order), tuple(masks))
 
 
 @dataclass(frozen=True)
@@ -149,21 +149,14 @@ def verify_certificate(cert: CodeCertificate) -> CodeCertificate:
 class _CodeSearch:
     """Branch and bound maximum independent set on a conflict graph.
 
-    The search works on the graph's positions, its rows and its costs as
-    they are: positions ascend in deletion-set size, so cheap vertices
-    branch first.  Two bounds prune each node: a greedy clique cover of the
-    candidates, and a budget argument specific to this graph family: chosen
-    codewords consume pairwise disjoint deletion sets, so the remaining
-    output-space capacity caps how many candidates can still be added
-    (counting the cheapest candidates, one per clique class).  A class's
-    cost is that of its lowest position, which is its cheapest member only
-    because costs never decrease along the positions.
-
+    The search works on the graph's positions and rows as they are:
+    positions ascend in deletion-set size, so small deletion sets branch
+    first.  One bound prunes each node: a greedy clique cover of the
+    candidates.  An independent set takes at most one vertex per class, so
+    a node whose chosen vertices plus its classes cannot pass the incumbent
+    returns; the branch loop tests this before each class, from the last.
     Every vertex taken from the classes is still a candidate, since the
-    classes are disjoint subsets of the candidates, and it always fits the
-    capacity left: a candidate conflicts with no chosen vertex, so its
-    deletion set is disjoint from theirs, and all of them lie in
-    [q]^(n-s).  So neither needs a test.
+    classes are disjoint subsets of the candidates, so it needs no test.
 
     A root orbit rule skips whole root branches.  Reversal and the symbol
     permutations map s-deletion sets onto s-deletion sets, so they are
@@ -184,13 +177,11 @@ class _CodeSearch:
         self.size = graph.size
         self.full = (1 << graph.size) - 1
         self.conflicts = graph.masks
-        self.cost = graph.costs
         orbit_of = symmetry_orbits(graph.q, graph.n)
         orbit_bits: dict[int, int] = {}
         for position, v in enumerate(graph.order):
             orbit_bits[orbit_of[v]] = orbit_bits.get(orbit_of[v], 0) | 1 << position
         self.mates = [orbit_bits[orbit_of[v]] for v in graph.order]
-        self.capacity = graph.q ** (graph.n - graph.s)
         self.best_mask = self._greedy_seed()
         self.best_size = self.best_mask.bit_count()
         self.timed_out = False
@@ -210,21 +201,19 @@ class _CodeSearch:
     def run(self, time_limit: float | None) -> tuple[int, bool]:
         if time_limit is not None:
             self.deadline = time.monotonic() + time_limit
-        self._expand(0, 0, self.full, self.capacity)
+        self._expand(0, 0, self.full)
         return self.best_mask, not self.timed_out
 
-    def _expand(self, r_mask: int, r_size: int, cand: int, capacity: int) -> None:
+    def _expand(self, r_mask: int, r_size: int, cand: int) -> None:
         self.nodes += 1
         if self.deadline is not None and self.nodes % 4096 == 0:
             if time.monotonic() > self.deadline:
                 self.timed_out = True
                 return
         conflicts = self.conflicts
-        cost = self.cost
         # greedy clique cover of the candidates; members kept in ascending
-        # order so cheap vertices branch first within a class
+        # order so small deletion sets branch first within a class
         classes: list[list[int]] = []
-        class_costs: list[int] = []
         uncolored = cand
         while uncolored:
             avail = uncolored
@@ -236,18 +225,6 @@ class _CodeSearch:
                 uncolored ^= low
                 avail &= conflicts[v]
             classes.append(members)
-            class_costs.append(cost[members[0]])
-        # budget bound: one vertex per class, cheapest classes first
-        class_costs.sort()
-        usable = 0
-        room = capacity
-        for c in class_costs:
-            if c > room:
-                break
-            room -= c
-            usable += 1
-        if r_size + usable <= self.best_size:
-            return
         # root orbit rule: orbit mates of the root vertices already searched
         mates = self.mates if not r_size else None
         skip = 0
@@ -259,7 +236,7 @@ class _CodeSearch:
                 if not skip & bit:
                     sub = (cand ^ bit) & ~conflicts[v]
                     if sub:
-                        self._expand(r_mask | bit, r_size + 1, sub, capacity - cost[v])
+                        self._expand(r_mask | bit, r_size + 1, sub)
                         if self.timed_out:
                             return
                     elif r_size + 1 > self.best_size:
@@ -467,7 +444,7 @@ def _check_insert_delete(q: int, limit: int, cap: int) -> tuple[int, str | None]
                         instances += 1
                         try:
                             got = cdc.delete_step(x + u, y + v, q)
-                        except cdc.NotDeconstructableError:
+                        except ValueError:  # NotDeconstructableError, or another refusal
                             got = None  # a refusal fails the instance like a wrong answer
                         if got != (triple, u, v):
                             return instances, (

@@ -387,6 +387,7 @@ class TestChannelGraph:
             ch.build_channel_graph(2, 30, 1, 1, cap=1 << 10)
         assert err.value.required == 2 ** 31 + 2 ** 31
         assert err.value.cap == 1 << 10
+        assert err.value.what == "channel graph vertex enumeration at q=2 l=30 a=1 b=1"
 
     def test_edge_list_export(self):
         graph = ch.build_channel_graph(2, 1, 1, 0)
@@ -431,8 +432,9 @@ class TestParallelogram:
                     assert (len(ws) > 0) == (scs_length(x, y) <= m + n - l)
 
     def test_cap_guard(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as err:
             ch.parallelogram_range_counterexample(2, 20, 20, cap=1 << 10)
+        assert err.value.what == "parallelogram pair enumeration at q=2 m=20 n=20"
 
 
 def _skewed_scs(x, y, lcs, scs):
@@ -584,8 +586,9 @@ class TestChannelEquivalence:
         assert ch.check_channel_equivalence(q, n, a, b)
 
     def test_cap_guard(self):
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as err:
             ch.channel_equivalence_counterexample(2, 14, 1, 1, cap=1 << 10)
+        assert err.value.what == "channel equivalence enumeration at q=2 n=14 a=1 b=1"
 
     @pytest.mark.parametrize("n,a,b", [(2, 1, 2), (1, 1, 1), (0, 0, 1), (3, 0, 4)])
     def test_refuses_more_errors_than_symbols(self, n, a, b):

@@ -168,7 +168,14 @@ class TestVerify:
         assert out == ""
         assert "usage error" in err and "--max-n" in err
 
-    def test_refused_delete_step_fails_its_line(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "refusal",
+        [
+            cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head"),
+            ValueError("delete step needs strings with different first symbols"),
+        ],
+    )
+    def test_refused_delete_step_fails_its_line(self, capsys, monkeypatch, refusal):
         # a refusal inside the inversion check is that claim's counterexample
         # (exit 1, every line printed), not a usage error
         real = cdc.delete_step
@@ -177,7 +184,7 @@ class TestVerify:
         def refuses_fifth(x, y, q):
             calls.append((x, y))
             if len(calls) == 5:
-                raise cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head")
+                raise refusal
             return real(x, y, q)
 
         monkeypatch.setattr(cdc, "delete_step", refuses_fifth)
@@ -196,6 +203,11 @@ class TestVerify:
         assert code == 3
         assert "cap" in err.lower()
         assert "n=40" in err
+
+    def test_cap_refusal_inside_a_claim_names_its_instance(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--q", "5", "--max-n", "5")
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: parallelogram pair enumeration at q=5 m=5 n=5 needs")
 
 
 class TestGraph:

@@ -307,8 +307,9 @@ class TestEnumerateParameters:
 
     def test_cap_guard(self):
         # raised at the call, before any block is drawn
-        with pytest.raises(CapExceededError):
+        with pytest.raises(CapExceededError) as err:
             cdc.parameter_blocks(2, 22, 1, 1, cap=1 << 10)
+        assert err.value.what == "edge parameter enumeration at q=2 l=22 a=1 b=1"
 
     def test_constructable_edge_count_cross_checks(self):
         # the enumeration and the closed product-sum give the same count

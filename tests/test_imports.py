@@ -59,6 +59,32 @@ def test_every_public_definition_is_used_outside_the_tests():
     assert unreferenced == set()
 
 
+
+def test_every_field_is_read_outside_the_tests():
+    # an annotated field of a src/ class must be read as an attribute by
+    # that name in src/ or in a non-test perfbench module, as above for
+    # functions; a field that only the tests read is dead weight
+    package = Path(delins.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    users = sources + sorted(p for p in bench.glob("*.py") if not p.name.startswith("test_"))
+    read = {
+        node.attr
+        for path in users
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = {
+        f"{path.stem}.{node.name}.{field.target.id}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        for field in node.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    }
+    assert unread == set()
+
 def test_every_imported_name_is_read():
     # a stale import would count as a use above; noqa: F401 keeps one on purpose
     package = Path(delins.__file__).parent

@@ -57,16 +57,9 @@ def rank_masks(graph):
     return rows
 
 
-def rank_costs(graph):
-    """graph.costs indexed by rank."""
-    costs = [0] * graph.size
-    for position, cost in enumerate(graph.costs):
-        costs[graph.order[position]] = cost
-    return costs
-
-
-# The benchmark's seven search rungs.
+# The benchmark's seven search rungs, and the most search nodes each may take.
 SEARCH_RUNGS = [(2, 7, 1), (2, 9, 2), (3, 6, 2), (4, 5, 2), (2, 10, 3), (2, 10, 4), (3, 7, 3)]
+SEARCH_NODE_CEILINGS = [2426, 3436, 2953, 4060, 83, 1, 415]
 
 
 class TestConflictGraph:
@@ -103,7 +96,7 @@ class TestConflictGraph:
         with pytest.raises(CapExceededError):
             orc.build_conflict_graph(2, 20, 1, cap=1 << 10)
 
-    def test_masks_and_costs_match_pairwise_deletion_sets(self):
+    def test_masks_match_pairwise_deletion_sets(self):
         # independent of the group-mask build: direct pairwise isdisjoint
         for q, max_n in ((2, 6), (3, 4), (4, 3)):
             for n in range(1, max_n + 1):
@@ -120,11 +113,10 @@ class TestConflictGraph:
                         for i, mine in enumerate(del_sets)
                     ]
                     assert rank_masks(graph) == expected, (q, n, s)
-                    assert rank_costs(graph) == [len(d) for d in del_sets], (q, n, s)
 
-    def test_positions_ascend_in_cost_then_rank(self):
-        # the budget bound takes a clique class's cost from its lowest
-        # position, which is its cheapest member only in this order
+    def test_positions_ascend_in_deletion_set_size_then_rank(self):
+        # the search branches in position order, so this order fixes its
+        # node counts and the certificates pinned below
         instances = [
             (q, n, s)
             for q, max_n in ((2, 6), (3, 4), (4, 3))
@@ -133,11 +125,11 @@ class TestConflictGraph:
         ]
         for q, n, s in instances + SEARCH_RUNGS:
             graph = orc.build_conflict_graph(q, n, s)
-            assert sorted(graph.order) == list(range(graph.size)), (q, n, s)
-            keys = list(zip(graph.costs, graph.order))
-            assert keys == sorted(keys), (q, n, s)
+            sizes = [len(ch.deletion_set(x, s)) for x in qs.all_strings(q, n)]
+            expected = sorted(range(graph.size), key=lambda r: (sizes[r], r))
+            assert list(graph.order) == expected, (q, n, s)
 
-    def test_masks_and_costs_commute_with_the_symmetry_generators(self):
+    def test_masks_commute_with_the_symmetry_generators(self):
         # the search's root orbit rule rests on this: each generator g of the
         # group (reversal, the transposition (0 1), the cycle c -> c+1) maps
         # the conflict graph onto itself, masks[g(v)] == g(masks[v])
@@ -156,7 +148,7 @@ class TestConflictGraph:
         images = {}
         for q, n, s in instances:
             graph = orc.build_conflict_graph(q, n, s)
-            masks, costs = rank_masks(graph), rank_costs(graph)
+            masks = rank_masks(graph)
             size, width = graph.size, f"0{graph.size}b"
             for name, gen in generators.items():
                 if (q, n, name) not in images:
@@ -170,7 +162,6 @@ class TestConflictGraph:
                 for v in range(size):
                     moved = int("".join(pick(format(masks[v], width))), 2)
                     assert masks[image[v]] == moved, (q, n, s, name, v)
-                    assert costs[image[v]] == costs[v], (q, n, s, name, v)
 
     def test_search_rows_are_conflicts_in_position_order(self):
         for q, n, s in [(2, 5, 1), (2, 6, 2), (3, 3, 1), (3, 4, 2), (4, 3, 1)]:
@@ -238,29 +229,17 @@ class TestMaxCodeExact:
             assert cert.exact and cert.verified, (q, n, s)
             assert certificate_sha256(cert) == digest, (q, n, s)
 
-    def test_every_candidate_fits_the_capacity_left(self):
-        # why _expand tests neither membership nor cost: checked on entry to
-        # every node of the benchmark's seven search rungs and (2, 6, 2)
-        class Checked(orc._CodeSearch):
-            def _expand(self, r_mask, r_size, cand, capacity):
-                rest = cand
-                while rest:
-                    low = rest & -rest
-                    assert self.cost[low.bit_length() - 1] <= capacity
-                    rest ^= low
-                super()._expand(r_mask, r_size, cand, capacity)
-
-        rungs = [(2, 7, 1), (2, 9, 2), (3, 6, 2), (4, 5, 2), (2, 10, 3), (2, 10, 4), (3, 7, 3)]
-        for q, n, s in rungs + [(2, 6, 2)]:
-            search = Checked(orc.build_conflict_graph(q, n, s))
-            _, completed = search.run(None)
-            assert completed and search.nodes > 0, (q, n, s)
-
-    def test_root_orbit_rule_skips_branches(self):
-        # 15,046 nodes without the rule; the code found is pinned above
-        search = orc._CodeSearch(orc.build_conflict_graph(3, 6, 2))
-        search.run(None)
-        assert search.nodes <= 2953
+    @pytest.mark.parametrize(
+        ("q", "n", "s", "ceiling"),
+        [rung + (ceiling,) for rung, ceiling in zip(SEARCH_RUNGS, SEARCH_NODE_CEILINGS)],
+    )
+    def test_node_count_stays_under_its_ceiling(self, q, n, s, ceiling):
+        # pruning may get cheaper, never weaker, so a change that raises a
+        # ceiling says so in CHANGES.md; (3, 6, 2) took 15,046 nodes without
+        # the root orbit rule, and the codes found are pinned above
+        search = orc._CodeSearch(orc.build_conflict_graph(q, n, s))
+        _, completed = search.run(None)
+        assert completed and search.nodes <= ceiling
 
     def test_timeout_returns_flagged_lower_bound(self):
         graph = orc.build_conflict_graph(2, 8, 1)
@@ -289,7 +268,7 @@ class TestInsertionOrder:
             edges = io.StringIO()
             ch.build_channel_graph(3, 4, 1, 1).write_edge_list(edges)
             return (
-                (graph.order, graph.masks, graph.costs),
+                (graph.order, graph.masks),
                 ch.degree_histogram(3, 4, 1, 1),
                 hashlib.sha256(edges.getvalue().encode()).hexdigest(),
                 certificate_sha256(orc.max_code_exact(graph)),
@@ -465,16 +444,24 @@ class TestVerifyAllLemmas:
         assert not roundtrip.passed
         assert roundtrip.counterexample is not None
 
-    def test_refused_delete_step_is_the_inversion_counterexample(self, monkeypatch):
-        # a delete_step that refuses an instance fails the inversion claim
-        # there, like a wrong answer would; the other claims still run
+    @pytest.mark.parametrize(
+        "refusal",
+        [
+            cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head"),
+            ValueError("delete step needs strings with different first symbols"),
+        ],
+    )
+    def test_refused_delete_step_is_the_inversion_counterexample(self, monkeypatch, refusal):
+        # a delete_step that refuses an instance, with its own error or a
+        # plain ValueError, fails the inversion claim there, like a wrong
+        # answer would; the other claims still run
         real = cdc.delete_step
         calls = []
 
         def refuses_fifth(x, y, q):
             calls.append((x, y))
             if len(calls) == 5:
-                raise cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head")
+                raise refusal
             return real(x, y, q)
 
         monkeypatch.setattr(cdc, "delete_step", refuses_fifth)
