@@ -34,7 +34,6 @@ from delins.channels import (
 from delins.codec import (
     LEFT,
     RIGHT,
-    AmbiguousDeletionError,
     InsertTriple,
     NotDeconstructableError,
     construct,

@@ -217,12 +217,6 @@ def channel_output_set(x: Qstr, a: int, b: int, q: int) -> set[Qstr]:
     return out
 
 
-def check_channel(n: int, a: int, b: int) -> None:
-    """Reject an (a, b) channel that cannot act on inputs of length n."""
-    if not 0 <= a <= n or b < 0:
-        raise ValueError(f"invalid channel parameters a={a}, b={b} for length {n}")
-
-
 def check_graph_parameters(q: int, l: int, a: int, b: int) -> None:
     """Reject a channel graph (q, l, a, b) with q < 2 or a negative l, a or b."""
     check_alphabet(q)
@@ -507,8 +501,7 @@ def channel_equivalence_counterexample(
     refusal rule, not the walk's cost: the acceptance grid's skip set and
     verify's instance counts are pinned to the instances it refuses.
     """
-    check_alphabet(q)
-    check_channel(n, a, b)
+    check_graph_parameters(q, n - a, a, b)  # a channel graph with inputs of length n
     s = a + b
     if s > n:
         raise ValueError(f"need a + b <= n, got {s} > {n}")

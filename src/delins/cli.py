@@ -3,13 +3,15 @@
 Subcommands: bounds (code size bound tables), verify (exhaustive checks),
 graph (channel graph statistics), search (exact maximum code), codec
 (construct/deconstruct edges).  Exit codes: 0 success, 1 failed check,
-2 usage, 3 enumeration cap exceeded, 4 search timeout.
+2 usage, 3 enumeration cap exceeded, 4 search timeout, 141 stdout closed
+by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from decimal import Decimal, localcontext
@@ -29,6 +31,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_TIMEOUT = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a SIGPIPE death
 
 
 def _integer(text: str) -> int:
@@ -300,7 +303,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: end silently, as a SIGPIPE death would, with
+        # stdout on devnull so that the flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except VerificationError as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -39,15 +39,6 @@ class NotDeconstructableError(ValueError):
     """The edge is not in the image of the constructor."""
 
 
-class AmbiguousDeletionError(NotDeconstructableError):
-    """A delete step found equally long matches on both sides.
-
-    This cannot happen on constructed edges; choosing a side arbitrarily
-    would fabricate parameters and break the injectivity accounting, so it
-    is an error instead.
-    """
-
-
 class InsertTriple(NamedTuple):
     side: str
     offset: int
@@ -105,9 +96,10 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
 
     Matches after dropping the head of x and after dropping the head of y;
     the longer match identifies the inserted symbol's side and the interval.
-    Equal match lengths raise AmbiguousDeletionError.  Both match lengths are
-    counted in place; only the winning side is sliced and has its offset
-    computed.
+    Equal match lengths raise NotDeconstructableError: a tie cannot happen on
+    a constructed edge, and picking a side would invent a parameter.  Both
+    match lengths are counted in place; only the winning side is sliced and
+    has its offset computed.
     """
     check_alphabet(q)
     if not x or not y:
@@ -125,7 +117,7 @@ def delete_step(x: Qstr, y: Qstr, q: int) -> tuple[InsertTriple, Qstr, Qstr]:
     while right < end and x[right] == y[right + 1]:
         right += 1
     if left == right:
-        raise AmbiguousDeletionError(f"matches of equal length {left} deleting either head")
+        raise NotDeconstructableError(f"matches of equal length {left} deleting either head")
     # tuple.__new__ builds the InsertTriple without its Python-level __new__
     if left > right:
         triple = tuple.__new__(InsertTriple, (LEFT, (x0 - y0) % q, tuple(x[1:left + 1])))
@@ -143,8 +135,8 @@ def undo_steps(
     """Undo insert steps from the front of (rest_x, rest_y) until both are empty.
 
     The rests are what match leaves after the starting interval.  Raises
-    NotDeconstructableError (or its AmbiguousDeletionError subclass) when
-    they are not the concatenated outputs of insert steps.
+    NotDeconstructableError when they are not the concatenated outputs of
+    insert steps.
     """
     triples: list[InsertTriple] = []
     while rest_x and rest_y:
@@ -170,8 +162,7 @@ def deconstruct(
 
     Exact inverse of construct on constructable edges: match splits off the
     starting interval and undo_steps the rest.  Raises NotDeconstructableError
-    (or its AmbiguousDeletionError subclass) when the pair is outside the
-    constructable image.
+    when the pair is outside the constructable image.
     """
     z0, rest_x, rest_y = match(tuple(x), tuple(y))
     return z0, undo_steps(rest_x, rest_y, q, on_step)

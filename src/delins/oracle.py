@@ -15,15 +15,17 @@ ceiling and max_n.  `codec --roundtrip` and `graph`
 run the per-instance parts, codec.roundtrip_counterexample and
 edge_sandwich.  The duality claim reads the prefix-shared LCS/SCS tables of
 channels.parallelogram_range_counterexample, and the edge sandwich counts
-edges by orbit with channels.degree_histogram, as `graph` does.  Three
+edges by orbit with channels.degree_histogram, as `graph` does.  Five
 claims run on symmetry classes and count each class at its size: the
 duality on one x per symbol relabelling, the insert/delete inversion on
 one interval per class of the maps c -> +-c + t mod q, the degree lower
-bound on one string per orbit of symmetry_orbits.  Their instance counts
+bound on one string per orbit of symmetry_orbits, and the two
+concentration claims on one orbit_tally of the longest alternating
+interval or the run count, both orbit invariants.  Their instance counts
 and first counterexamples are those of a full scan.  The acceptance suite
 also keeps independent second routes to some claims (per-input output
 sets, pairwise LCS, the built channel graph); those are not copies.  The
-tests keep the full scans of the three reduced claims and check that the
+tests keep the full scans of the five reduced claims and check that the
 codec steps commute with every c -> +-c + t mod q on the full grid.
 """
 
@@ -43,9 +45,11 @@ from delins.qstrings import (
     all_strings,
     check_alphabet,
     format_qary,
+    longest_alternating_interval,
     non_alternating_strings,
     orbit_tally,
     rank_of,
+    run_count,
     string_of,
     string_stats,
     symmetry_orbits,
@@ -296,7 +300,7 @@ def packing_code_bound(q: int, n: int, a: int, b: int) -> int:
     formula values this is a true bound at this n.  One orbit tally counts
     the inputs per output count, every atypical input under None.
     """
-    ch.check_channel(n, a, b)
+    ch.check_graph_parameters(q, n - a, a, b)  # a channel graph with inputs of length n
     split = bnd.typicality_split(q, n, a, b)
     if q ** n > DEFAULT_CAP:
         raise CapExceededError("packing bound enumeration", q ** n, DEFAULT_CAP)
@@ -500,11 +504,9 @@ def _check_degree_lower_bound(q: int, limit: int, cap: int) -> tuple[int, str | 
 def _check_alternating_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     for n in range(2, limit + 1):
-        histogram = [0] * (n + 1)
-        for x in all_strings(q, n):
-            histogram[string_stats(x).longest_alternating] += 1
+        tally = orbit_tally(q, n, longest_alternating_interval)
         for c in range(2, n + 1):
-            count = sum(histogram[c:])
+            count = sum(size for longest, size in tally.items() if longest >= c)
             bound = bnd.alternating_interval_bound(q, n, c)
             instances += 1
             if count > bound:
@@ -515,11 +517,10 @@ def _check_alternating_bound(q: int, limit: int, cap: int) -> tuple[int, str | N
 def _check_runs_bound(q: int, limit: int, cap: int) -> tuple[int, str | None]:
     instances = 0
     for n in range(1, limit + 1):
-        histogram = [0] * (n + 2)
-        for x in all_strings(q, n):
-            histogram[string_stats(x).runs] += 1
+        tally = orbit_tally(q, n, run_count)
         for eps in EPS_GRID:
-            count = sum(histogram[: max(bnd.few_runs_cutoff(q, n, eps), 0) + 1])
+            cutoff = bnd.few_runs_cutoff(q, n, eps)
+            count = sum(size for runs, size in tally.items() if runs <= cutoff)
             bound = bnd.few_runs_bound(q, n, eps)
             instances += 1
             if count > bound + 1e-12 * max(1.0, bound):

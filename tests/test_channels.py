@@ -595,6 +595,16 @@ class TestChannelEquivalence:
         with pytest.raises(ValueError, match=rf"^need a \+ b <= n, got {a + b} > {n}$"):
             ch.channel_equivalence_counterexample(2, n, a, b)
 
+    @pytest.mark.parametrize("n,a,b", [(3, 4, 0), (0, 1, 0), (2, 3, 1)])
+    def test_refuses_more_deletions_than_symbols(self, n, a, b):
+        # a > n is a channel graph with l = n - a < 0, refused before the
+        # a + b <= n rule
+        with pytest.raises(
+            ValueError,
+            match=rf"^graph parameters must be nonnegative, got l={n - a}, a={a}, b={b}$",
+        ):
+            ch.channel_equivalence_counterexample(2, n, a, b)
+
     def test_walk_is_the_output_route(self):
         # criterion 05's grid up to n = 5, and the two instances of the
         # benchmark's verify workload

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import shlex
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -171,7 +175,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "refusal",
         [
-            cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head"),
+            cdc.NotDeconstructableError("matches of equal length 1 deleting either head"),
             ValueError("delete step needs strings with different first symbols"),
         ],
     )
@@ -624,6 +628,40 @@ class TestUnopenablePath:
         )
         assert code == 2
         assert err.startswith("usage error: ") and str(path) in err
+
+
+def _run_with_closed_stdout(args, unbuffered):
+    """Run `python -m delins.cli args` with stdout on a pipe whose read end
+    is closed before the command starts: (exit code, stderr)."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "delins.cli", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    return done.returncode, done.stderr
+
+
+class TestClosedStdout:
+    """A reader that goes away is neither bad input nor a failed check."""
+
+    # unbuffered, the first print meets the closed pipe; buffered, the
+    # flush after the command does
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "args", ["search --q 2 --n 7 --s 1", "codec --deconstruct 01 10", "verify --q 2 --max-n 3"]
+    )
+    def test_exits_141_with_nothing_on_stderr(self, args, unbuffered):
+        # 141 = 128 + SIGPIPE, what a shell reports for a SIGPIPE death
+        assert _run_with_closed_stdout(args.split(), unbuffered) == (128 + signal.SIGPIPE, b"")
 
 
 # A valid command per subcommand and its integer options.  The option under

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -84,6 +85,26 @@ def test_every_field_is_read_outside_the_tests():
         and field.target.id not in read
     }
     assert unread == set()
+
+def test_every_exception_class_is_caught_by_name():
+    # an exception class of src/ that no except clause in src/ names is a
+    # refusal that no caller tells apart from its parent: raise the parent
+    package = Path(delins.__file__).parent
+    caught, defined = set(), set()
+    for path in sorted(p for p in package.glob("*.py") if p.name != "__init__.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _referenced_names(node.type)
+        module = importlib.import_module(f"delins.{path.stem}")
+        defined |= {
+            (path.stem, name)
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        }
+    assert defined
+    assert {f"{stem}.{name}" for stem, name in defined if name not in caught} == set()
+
 
 def test_every_imported_name_is_read():
     # a stale import would count as a use above; noqa: F401 keeps one on purpose

@@ -13,6 +13,7 @@ from delins import oracle as orc
 from delins import qstrings as qs
 from delins.errors import CapExceededError
 from verify_reference import (
+    concentration_full_scan,
     degree_lower_bound_full_scan,
     equivariance_counterexample,
     insert_delete_full_scan,
@@ -361,8 +362,11 @@ class TestPackingBound:
 
     @pytest.mark.parametrize("a,b", [(-1, 0), (1, -2), (5, 0)])
     def test_rejects_invalid_channel_before_enumerating(self, monkeypatch, a, b):
+        # the channel graph with inputs of length 4 has l = 4 - a: 5, 3, -1
         monkeypatch.setattr(orc, "orbit_tally", lambda *args: pytest.fail("enumerated"))
-        with pytest.raises(ValueError, match=f"invalid channel parameters a={a}, b={b} for length 4"):
+        with pytest.raises(
+            ValueError, match=rf"^graph parameters must be nonnegative, got l={4 - a}, a={a}, b={b}$"
+        ):
             orc.packing_code_bound(2, 4, a, b)
 
     def test_cap_exceeded_before_enumerating(self, monkeypatch):
@@ -447,7 +451,7 @@ class TestVerifyAllLemmas:
     @pytest.mark.parametrize(
         "refusal",
         [
-            cdc.AmbiguousDeletionError("matches of equal length 1 deleting either head"),
+            cdc.NotDeconstructableError("matches of equal length 1 deleting either head"),
             ValueError("delete step needs strings with different first symbols"),
         ],
     )
@@ -595,33 +599,37 @@ def _unless(real, wrong, value):
     return lambda *args: value if wrong(*args) else real(*args)
 
 
+# (claim key, bound function, where it is wrong, its value there, then the
+# claim's instances and counterexample at q = 2, limit 5)
+BROKEN_BOUNDS = [
+    # n = 1 and 2 run 2 * 3 + 4 * 6 instances; x = 000 meets (1, 1) fifth
+    (
+        "degree_lower_bound", "degree_lower_bound",
+        lambda q, n, r, c, a, b: (n, a, b) == (3, 1, 1), 10 ** 6,
+        35, "q=2 n=3 a=1 b=1 x=000 lower=1000000 actual=4",
+    ),
+    # (n, c) = (2, 2), (3, 2), (3, 3); 010 and 101 alternate over 3
+    (
+        "alternating_bound", "alternating_interval_bound",
+        lambda q, n, c: (n, c) == (3, 3), 1,
+        3, "q=2 n=3 c=3 count=2 bound=1",
+    ),
+    # four eps at n = 1, then 0.1, 0.2, 0.3 at n = 2
+    (
+        "runs_bound", "few_runs_bound",
+        lambda q, n, eps: (n, eps) == (2, 0.3), 0.5,
+        7, "q=2 n=2 eps=0.3 count=2 bound=0.5",
+    ),
+]
+
+
 class TestClaimCounterexamples:
     # Each claim, run with one patched bound or skewed duality tables, fails
     # at the first instance the patch breaks and counts every instance up to
     # and including it.
 
     @pytest.mark.parametrize(
-        "key,bound,wrong,value,instances,counterexample",
-        [
-            # n = 1 and 2 run 2 * 3 + 4 * 6 instances; x = 000 meets (1, 1) fifth
-            (
-                "degree_lower_bound", "degree_lower_bound",
-                lambda q, n, r, c, a, b: (n, a, b) == (3, 1, 1), 10 ** 6,
-                35, "q=2 n=3 a=1 b=1 x=000 lower=1000000 actual=4",
-            ),
-            # (n, c) = (2, 2), (3, 2), (3, 3); 010 and 101 alternate over 3
-            (
-                "alternating_bound", "alternating_interval_bound",
-                lambda q, n, c: (n, c) == (3, 3), 1,
-                3, "q=2 n=3 c=3 count=2 bound=1",
-            ),
-            # four eps at n = 1, then 0.1, 0.2, 0.3 at n = 2
-            (
-                "runs_bound", "few_runs_bound",
-                lambda q, n, eps: (n, eps) == (2, 0.3), 0.5,
-                7, "q=2 n=2 eps=0.3 count=2 bound=0.5",
-            ),
-        ],
+        "key,bound,wrong,value,instances,counterexample", BROKEN_BOUNDS
     )
     def test_a_broken_bound_is_the_counterexample(
         self, monkeypatch, key, bound, wrong, value, instances, counterexample
@@ -704,6 +712,30 @@ def _refuses_right_steps_of_length_three(real):
         return triple, rest_x, rest_y
 
     return refusing
+
+
+class TestConcentrationClaims:
+    # Both claims tally one string per orbit of symmetry_orbits; the full
+    # scans in verify_reference must give the same report.
+
+    @pytest.mark.parametrize("key", ["alternating_bound", "runs_bound"])
+    @pytest.mark.parametrize("q,limit", [(2, 10), (3, 10)] + list(VERIFY_GRID_COUNTS))
+    def test_orbit_tally_is_the_full_scan(self, key, q, limit):
+        # criterion 04's grid, then the benchmark's four verify grids
+        check = orc.run_check(key, q, limit)
+        assert check.passed
+        assert (check.instances, check.counterexample) == concentration_full_scan(key, q, limit)
+
+    @pytest.mark.parametrize(
+        "key,bound,wrong,value,instances,counterexample",
+        [case for case in BROKEN_BOUNDS if case[0] != "degree_lower_bound"],
+    )
+    def test_a_broken_bound_fails_the_full_scan_alike(
+        self, monkeypatch, key, bound, wrong, value, instances, counterexample
+    ):
+        # test_a_broken_bound_is_the_counterexample pins run_check to these
+        monkeypatch.setattr(bnd, bound, _unless(getattr(bnd, bound), wrong, value))
+        assert concentration_full_scan(key, 2, 5) == (instances, counterexample)
 
 
 class TestSymmetryClassClaims:

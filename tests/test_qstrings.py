@@ -75,9 +75,11 @@ class TestSymmetryOrbits:
                 want = Counter(key(x) for x in qs.all_strings(q, n))
                 assert qs.orbit_tally(q, n, key) == want, (q, n)
 
-    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 5), (4, 4)])
+    @pytest.mark.parametrize("q,max_n", [(2, 8), (3, 6), (4, 5)])
     def test_string_stats_are_constant_on_every_orbit(self, q, max_n):
-        # the packing bound classifies orbit representatives only
+        # the packing bound classifies orbit representatives only, and the
+        # concentration claims tally the run count and the longest
+        # alternating interval through orbit_tally
         for n in range(max_n + 1):
             orbit_of = qs.symmetry_orbits(q, n)
             stats = [qs.string_stats(x) for x in qs.all_strings(q, n)]

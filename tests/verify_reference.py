@@ -1,11 +1,12 @@
-"""Second routes to four claims of `delins verify`, for tests.
+"""Second routes to six claims of `delins verify`, for tests.
 
-Three claims run on symmetry classes: oracle._check_parallelogram reads
+Five claims run on symmetry classes: oracle._check_parallelogram reads
 one x per symbol relabelling, oracle._check_insert_delete one interval per
-class of the maps c -> +-c + t mod q, and oracle._check_degree_lower_bound
-one string per orbit.  The scans here run every instance, in the same
-order, and report the same (instances, first counterexample), so tests can
-compare the reduced claims with a plain loop.  equivariance_counterexample
+class of the maps c -> +-c + t mod q, oracle._check_degree_lower_bound
+one string per orbit, and the two concentration claims one orbit_tally.
+The scans here run every instance, in the same order, and report the same
+(instances, first counterexample), so tests can compare the reduced claims
+with a plain loop.  equivariance_counterexample
 checks the symmetry that the inversion reduction rests on.  Like the
 claims, these read SUFFIX_LENGTH, MAX_S and the codec and bound functions
 from their modules when they run, so a test that rebinds one changes both
@@ -108,6 +109,36 @@ def degree_lower_bound_full_scan(q: int, limit: int) -> tuple[int, str | None]:
                         f"q={q} n={n} a={a} b={b} x={format_qary(x, q)} "
                         f"lower={lower} actual={actual}"
                     )
+    return instances, None
+
+
+def concentration_full_scan(key: str, q: int, limit: int) -> tuple[int, str | None]:
+    """The concentration claim `key`, "alternating_bound" or "runs_bound",
+    from a histogram over every string of [q]^n, counted up to and
+    including the first failure."""
+    instances = 0
+    if key == "alternating_bound":
+        for n in range(2, limit + 1):
+            histogram = [0] * (n + 1)
+            for x in all_strings(q, n):
+                histogram[string_stats(x).longest_alternating] += 1
+            for c in range(2, n + 1):
+                count = sum(histogram[c:])
+                bound = bnd.alternating_interval_bound(q, n, c)
+                instances += 1
+                if count > bound:
+                    return instances, f"q={q} n={n} c={c} count={count} bound={bound}"
+        return instances, None
+    for n in range(1, limit + 1):
+        histogram = [0] * (n + 2)
+        for x in all_strings(q, n):
+            histogram[string_stats(x).runs] += 1
+        for eps in orc.EPS_GRID:
+            count = sum(histogram[: max(bnd.few_runs_cutoff(q, n, eps), 0) + 1])
+            bound = bnd.few_runs_bound(q, n, eps)
+            instances += 1
+            if count > bound + 1e-12 * max(1.0, bound):
+                return instances, f"q={q} n={n} eps={eps} count={count} bound={bound}"
     return instances, None
 
 
