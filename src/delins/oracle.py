@@ -96,7 +96,8 @@ def build_conflict_graph(q: int, n: int, s: int, cap: int = SEARCH_CAP) -> Confl
         raise ValueError(f"need 0 <= s <= n, got s={s}, n={n}")
     size = q ** n
     if size > cap:
-        raise CapExceededError("conflict graph vertex enumeration", size, cap)
+        what = f"conflict graph vertex enumeration at q={q} n={n} s={s}"
+        raise CapExceededError(what, size, cap)
     set_sizes = [0] * size
     for group in ch.deletion_groups(q, n, s):
         for r in group:
@@ -303,7 +304,8 @@ def packing_code_bound(q: int, n: int, a: int, b: int) -> int:
     ch.check_graph_parameters(q, n - a, a, b)  # a channel graph with inputs of length n
     split = bnd.typicality_split(q, n, a, b)
     if q ** n > DEFAULT_CAP:
-        raise CapExceededError("packing bound enumeration", q ** n, DEFAULT_CAP)
+        what = f"packing bound enumeration at q={q} n={n} a={a} b={b}"
+        raise CapExceededError(what, q ** n, DEFAULT_CAP)
 
     def degree(x: Qstr) -> int | None:
         return len(ch.output_ranks(x, a, b, q)) if split.is_typical(string_stats(x)) else None

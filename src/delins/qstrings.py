@@ -125,20 +125,6 @@ def parse_qary(text: str, q: int) -> Qstr:
     return syms
 
 
-def is_alternating(x: Qstr) -> bool:
-    """True iff two distinct symbols alternate through x.
-
-    The empty string and single symbols count as alternating.  For longer
-    strings this means one symbol at every even index and a different one at
-    every odd index.
-    """
-    if len(x) <= 1:
-        return True
-    if x[0] == x[1]:
-        return False
-    return all(x[i] == x[i - 2] for i in range(2, len(x)))
-
-
 def alternating_count(q: int, n: int) -> int:
     """|A_{q,n}|: the number of alternating strings of length n over [q]."""
     check_alphabet(q)
@@ -153,8 +139,11 @@ def alternating_count(q: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def non_alternating_strings(q: int, n: int) -> tuple[Qstr, ...]:
-    """All length-n strings over [q] that are not alternating, numeric order."""
-    return tuple(x for x in all_strings(q, n) if not is_alternating(x))
+    """All length-n strings over [q] that are not alternating, numeric order.
+
+    x alternates when two distinct symbols alternate through it, that is when
+    longest_alternating_interval(x) == len(x); lengths 0 and 1 alternate."""
+    return tuple(x for x in all_strings(q, n) if longest_alternating_interval(x) < n)
 
 
 def run_count(x: Qstr) -> int:

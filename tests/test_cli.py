@@ -403,6 +403,14 @@ class TestSearch:
         assert err.startswith("check failed: certificate contains a conflicting pair")
         assert "usage error" not in err
 
+    def test_cap_refusal_names_its_instance(self, capsys):
+        code, out, err = run_cli(capsys, "search", "--q", "2", "--n", "13", "--s", "1")
+        assert (code, out) == (3, "")
+        assert err == (
+            "cap exceeded: conflict graph vertex enumeration at q=2 n=13 s=1 needs 8192 "
+            "enumerated items but the cap is 4096; rerun with a cap of at least 8192\n"
+        )
+
     def test_timeout_exit_four(self, capsys):
         code, out, _ = run_cli(
             capsys, "search", "--q", "2", "--n", "8", "--s", "1",

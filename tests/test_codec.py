@@ -10,6 +10,7 @@ from delins.errors import CapExceededError
 
 from codec_reference import EdgeParameter, construct_edge, enumerate_parameters
 from lcs_reference import lcs_at_least
+from qstrings_reference import is_alternating
 
 
 def nonalternating(q: int, min_len: int = 2, max_len: int = 5):
@@ -296,7 +297,7 @@ class TestEnumerateParameters:
                 assert sum(1 for side in p.gap_sides if side == LEFT) == a
                 assert sum(1 for side in p.gap_sides if side == RIGHT) == b
                 assert all(1 <= off <= q - 1 for off in p.offsets)
-                assert all(not qs.is_alternating(w) for w in p.intervals)
+                assert all(not is_alternating(w) for w in p.intervals)
                 assert sum(len(w) for w in p.intervals) == l
             assert len(seen) == cdc.parameter_count(q, l, a, b)
 

@@ -374,6 +374,7 @@ class TestPackingBound:
         with pytest.raises(CapExceededError) as err:
             orc.packing_code_bound(2, 23, 1, 1)
         assert err.value.required == 2 ** 23
+        assert err.value.what == "packing bound enumeration at q=2 n=23 a=1 b=1"
 
 
 class TestFormulaValueTracking:
